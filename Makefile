@@ -35,9 +35,11 @@ lint:
 api:
 	go doc -all . > api/focus.txt
 
-# apicheck diffs the live API surface against the baseline.
+# apicheck diffs the live API surface against the baseline and rejects any
+# Deprecated: symbol in it: a replaced API is deleted, not kept in parallel.
 apicheck:
 	go doc -all . | diff -u api/focus.txt - || (echo "public API drifted: run 'make api' and commit api/focus.txt" && exit 1)
+	! grep -n 'Deprecated:' api/focus.txt || (echo "public API keeps deprecated symbols: delete them instead" && exit 1)
 
 # bench runs every benchmark once with memory stats and distills the
 # machine-readable trajectory BENCH_focus.json (package-qualified name ->

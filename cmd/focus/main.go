@@ -197,7 +197,7 @@ func runLits(cfg *config, path1, path2 string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dev, err := core.Deviation(mc, m1, m2, d1, d2, cfg.f, cfg.g, core.WithCounter(cfg.counter))
+	dev, err := core.Deviation(mc, m1, m2, d1, d2, cfg.f, cfg.g)
 	if err != nil {
 		return err
 	}
@@ -207,8 +207,7 @@ func runLits(cfg *config, path1, path2 string, w io.Writer) error {
 		fmt.Fprintf(w, "upper bound delta*(%s) = %.6f (no dataset scan)\n", cfg.gName, core.LitsUpperBound(m1, m2, cfg.g))
 	}
 	if cfg.qualify {
-		q, err := core.Qualify(mc, d1, d2, cfg.f, cfg.g,
-			append(qualifyOptions(cfg), core.WithCounter(cfg.counter))...)
+		q, err := core.Qualify(mc, d1, d2, cfg.f, cfg.g, qualifyOptions(cfg)...)
 		if err != nil {
 			return err
 		}

@@ -79,10 +79,9 @@ func CountItemsets(d *txn.Dataset, sets []Itemset) []int {
 	return CountItemsetsP(d, sets, 1)
 }
 
-// CountItemsetsP is CountItemsets with a parallelism knob; the backend is
-// the process-default Counter (CounterAuto unless overridden via
-// SetDefaultCounter). Counts are bit-identical for every backend and worker
-// count.
+// CountItemsetsP is CountItemsets with a parallelism knob; CounterAuto
+// picks the backend per call. Counts are bit-identical for every backend
+// and worker count.
 func CountItemsetsP(d *txn.Dataset, sets []Itemset, parallelism int) []int {
 	return CountItemsetsC(d, sets, parallelism, CounterDefault)
 }

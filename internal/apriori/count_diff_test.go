@@ -190,6 +190,26 @@ func TestParseCounter(t *testing.T) {
 			t.Fatalf("ParseCounter(%q) accepted an invalid backend", name)
 		}
 	}
+	// "" is the unset knob and means auto at every decision point.
+	unset, _ := ParseCounter("")
+	memo := randomCountDataset(400, 30, 3)
+	VerticalIndexOf(memo, 1)
+	for _, d := range []*txn.Dataset{randomCountDataset(60, 40, 1), randomCountDataset(400, 30, 2), memo} {
+		for _, n := range []int{1, 8, 500} {
+			if got, want := resolveCounter(unset, d, n), resolveCounter(CounterAuto, d, n); got != want {
+				t.Errorf("resolveCounter(%q, n=%d) = %q, auto gives %q", unset, n, got, want)
+			}
+			if got, want := resolveMiner(unset, d, n), resolveMiner(CounterAuto, d, n); got != want {
+				t.Errorf("resolveMiner(%q, n=%d) = %q, auto gives %q", unset, n, got, want)
+			}
+		}
+		if UseViewBootstrap(unset, d) != UseViewBootstrap(CounterAuto, d) {
+			t.Errorf("UseViewBootstrap(%q) differs from auto", unset)
+		}
+		if UseWindowMiner(unset, d.NumItems) != UseWindowMiner(CounterAuto, d.NumItems) {
+			t.Errorf("UseWindowMiner(%q) differs from auto", unset)
+		}
+	}
 }
 
 // TestInvalidCounterPanics pins that a Counter outside the vocabulary —
@@ -198,9 +218,8 @@ func TestParseCounter(t *testing.T) {
 func TestInvalidCounterPanics(t *testing.T) {
 	d := randomCountDataset(10, 5, 80)
 	cases := map[string]func(){
-		"CountItemsetsC":    func() { CountItemsetsC(d, []Itemset{{0}}, 1, "btree") },
-		"SetDefaultCounter": func() { SetDefaultCounter("btree") },
-		"NewSource":         func() { NewSource(d, 1, "btree") },
+		"CountItemsetsC": func() { CountItemsetsC(d, []Itemset{{0}}, 1, "btree") },
+		"NewSource":      func() { NewSource(d, 1, "btree") },
 	}
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -211,21 +230,6 @@ func TestInvalidCounterPanics(t *testing.T) {
 			}()
 			fn()
 		})
-	}
-}
-
-func TestDefaultCounterOverride(t *testing.T) {
-	defer SetDefaultCounter(CounterDefault)
-	if got := DefaultCounter(); got != CounterAuto {
-		t.Fatalf("built-in default = %q, want auto", got)
-	}
-	SetDefaultCounter(CounterTrie)
-	if got := DefaultCounter(); got != CounterTrie {
-		t.Fatalf("default after SetDefaultCounter(trie) = %q", got)
-	}
-	SetDefaultCounter(CounterDefault)
-	if got := DefaultCounter(); got != CounterAuto {
-		t.Fatalf("default after reset = %q, want auto", got)
 	}
 }
 

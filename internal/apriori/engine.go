@@ -37,9 +37,6 @@ const (
 // depth dimension itself, switching tidsets to diffsets per level.
 func resolveMiner(c Counter, d *txn.Dataset, freqItems int) Miner {
 	MustCounter(c)
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
 	switch c {
 	case CounterTrie:
 		return MinerLevelwise
@@ -103,11 +100,7 @@ func (e *Engine) ItemCounts() []int {
 	// which primes the memoized index the candidate passes will reuse; an
 	// already-memoized index serves pass 1 for free on any backend that
 	// would build (or has built) it anyway.
-	c := e.counter
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
-	if c == CounterBitmap || (c == CounterAuto && e.d.HasMemo()) {
+	if e.counter == CounterBitmap || (e.counter != CounterTrie && e.d.HasMemo()) {
 		e.pass1 = VerticalIndexOf(e.d, e.parallelism).ItemCounts()
 	} else {
 		e.pass1 = horizontalItemCounts(e.d, e.parallelism)

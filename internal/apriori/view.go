@@ -143,9 +143,6 @@ func (v *View) countOne(s Itemset) int {
 // density probe of per-scan resolution does not apply.
 func UseViewBootstrap(c Counter, d *txn.Dataset) bool {
 	MustCounter(c)
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
 	switch c {
 	case CounterTrie:
 		return false

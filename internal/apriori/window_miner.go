@@ -41,9 +41,6 @@ const windowPairBytes = 1 << 26
 // outsized.
 func UseWindowMiner(c Counter, numItems int) bool {
 	MustCounter(c)
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
 	if c == CounterTrie {
 		return false
 	}

@@ -75,6 +75,9 @@ func (c clusterClass) NewWindow(parallelism int) (Window[*dataset.Dataset, *Clus
 	if c.grid == nil {
 		return nil, errNilGrid
 	}
+	if c.minDensity < 0 || c.minDensity > 1 {
+		return nil, fmt.Errorf("core: minDensity %v outside [0,1]", c.minDensity)
+	}
 	return &clusterWindow{
 		grid:       c.grid,
 		minDensity: c.minDensity,

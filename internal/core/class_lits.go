@@ -18,17 +18,17 @@ type litsClass struct {
 }
 
 // Lits returns the lits-model class instance mining frequent itemsets at
-// the given minimum support, counting through the process-default backend.
+// the given minimum support, with the auto counting backend.
 func Lits(minSupport float64) ModelClass[*txn.Dataset, *LitsModel] {
-	return LitsWithCounter(minSupport, apriori.CounterDefault)
+	return LitsWithCounter(minSupport, apriori.CounterAuto)
 }
 
 // LitsWithCounter is Lits with an explicit itemset-counting backend, used
-// for every scan the class performs — mining, GCR measurement, and the
-// per-batch counts of streaming windows. Models, deviations and reports
-// are bit-identical for every Counter; Config.Counter (WithCounter)
-// overrides it for batch-pipeline measurement scans. Unknown backends
-// panic here, at the construction site, rather than at the first scan.
+// for every scan the class performs — mining, GCR measurement, bootstrap
+// replicates, and the per-batch counts of streaming windows. Models,
+// deviations and reports are bit-identical for every Counter. Unknown
+// backends panic here, at the construction site, rather than at the first
+// scan.
 func LitsWithCounter(minSupport float64, counter apriori.Counter) ModelClass[*txn.Dataset, *LitsModel] {
 	apriori.MustCounter(counter)
 	return litsClass{minSupport: minSupport, counter: counter}
@@ -48,15 +48,6 @@ func (c litsClass) Induce(d *txn.Dataset, parallelism int) (*LitsModel, error) {
 	return MineLitsWith(d, c.minSupport, parallelism, c.counter)
 }
 
-// counterFor resolves the backend of a measurement scan: an explicit
-// Config.Counter (WithCounter) wins over the class's own backend.
-func (c litsClass) counterFor(cfg *Config) apriori.Counter {
-	if cfg.Counter != apriori.CounterDefault {
-		return cfg.Counter
-	}
-	return c.counter
-}
-
 func (c litsClass) MeasureGCR(m1, m2 *LitsModel, d1, d2 *txn.Dataset, cfg *Config) ([]MeasuredRegion, error) {
 	if d1.NumItems != d2.NumItems {
 		return nil, fmt.Errorf("core: datasets have different item universes (%d vs %d)", d1.NumItems, d2.NumItems)
@@ -71,9 +62,8 @@ func (c litsClass) MeasureGCR(m1, m2 *LitsModel, d1, d2 *txn.Dataset, cfg *Confi
 		}
 		gcr = kept
 	}
-	counter := c.counterFor(cfg)
-	c1 := apriori.CountItemsetsC(d1, gcr, cfg.Parallelism, counter)
-	c2 := apriori.CountItemsetsC(d2, gcr, cfg.Parallelism, counter)
+	c1 := apriori.CountItemsetsC(d1, gcr, cfg.Parallelism, c.counter)
+	c2 := apriori.CountItemsetsC(d2, gcr, cfg.Parallelism, c.counter)
 	regions := make([]MeasuredRegion, len(gcr))
 	for i := range gcr {
 		regions[i] = MeasuredRegion{Alpha1: float64(c1[i]), Alpha2: float64(c2[i])}
@@ -96,7 +86,7 @@ type viewPair struct {
 // deviations are bit-identical to the generic Resample/Induce/MeasureGCR
 // path — pinned by TestQualifyViewBootstrapEquivalence.
 func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, bool) {
-	if !apriori.UseViewBootstrap(c.counterFor(cfg), pool) {
+	if !apriori.UseViewBootstrap(c.counter, pool) {
 		return nil, false
 	}
 	// Build the shared index once, in parallel, before the workers start;
@@ -147,6 +137,9 @@ func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, 
 }
 
 func (c litsClass) NewWindow(parallelism int) (Window[*txn.Dataset, *LitsModel], error) {
+	if c.minSupport <= 0 || c.minSupport > 1 {
+		return nil, fmt.Errorf("core: minimum support %v outside (0,1]", c.minSupport)
+	}
 	return &litsWindow{
 		minSupport:  c.minSupport,
 		counter:     c.counter,

@@ -76,37 +76,6 @@ func DTGCRRegions(m1, m2 *DTModel) ([]GCRRegion, error) {
 	return out, nil
 }
 
-// DTOptions tunes a dt-model deviation computation.
-type DTOptions struct {
-	// Focus, when non-nil, restricts the deviation to the given region
-	// (Definition 5.2): every GCR region is intersected with it, and only
-	// tuples inside it are counted. The box may constrain the class
-	// attribute as well, focussing on the regions of particular classes.
-	Focus *region.Box
-
-	// Parallelism shards the two routing scans across workers: 0 uses the
-	// process default (GOMAXPROCS unless overridden by a -parallelism
-	// flag), 1 forces the exact serial path, n >= 2 uses n workers. The
-	// deviation is bit-identical for every setting: per-shard integer
-	// region counts are merged in shard order and the f/g reduction stays
-	// serial over the fixed GCR region order.
-	Parallelism int
-}
-
-// DTDeviation computes delta(f,g) between the datasets d1 and d2 through
-// their dt-models m1 and m2 (Definition 3.6).
-//
-// Deprecated: use Deviation with the DT model class; DTDeviation is a thin
-// wrapper kept for compatibility and produces bit-identical results.
-func DTDeviation(m1, m2 *DTModel, d1, d2 *dataset.Dataset, f DiffFunc, g AggFunc, opts DTOptions) (float64, error) {
-	cfg := Config{FocusRegion: opts.Focus, Parallelism: opts.Parallelism}
-	regions, err := dtMeasureGCR(m1, m2, d1, d2, &cfg)
-	if err != nil {
-		return 0, err
-	}
-	return Deviation1(regions, float64(d1.Len()), float64(d2.Len()), f, g), nil
-}
-
 // dtMeasureGCR extends two dt-models to their GCR overlay and measures
 // every refined region against d1 and d2: every tuple of each dataset is
 // routed down both trees simultaneously (a single scan per dataset,

@@ -83,6 +83,7 @@ func closeEnough(a, b float64) bool {
 
 func TestInvariantsLits(t *testing.T) {
 	const minSupport = 0.05
+	lits := Lits(minSupport)
 	for seed := int64(0); seed < invariantSeeds; seed++ {
 		d1, d2 := invariantTxnData(t, seed)
 		m1, err := MineLits(d1, minSupport)
@@ -95,7 +96,7 @@ func TestInvariantsLits(t *testing.T) {
 		}
 		for _, fg := range invariantFG() {
 			// delta(D,D) = 0, exactly.
-			self, err := LitsDeviation(m1, m1, d1, d1, fg.f, fg.g, LitsOptions{})
+			self, err := Deviation(lits, m1, m1, d1, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,11 +104,11 @@ func TestInvariantsLits(t *testing.T) {
 				t.Errorf("seed %d %s: delta(D,D) = %v, want 0", seed, fg.name, self)
 			}
 			// Symmetry under argument swap.
-			ab, err := LitsDeviation(m1, m2, d1, d2, fg.f, fg.g, LitsOptions{})
+			ab, err := Deviation(lits, m1, m2, d1, d2, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ba, err := LitsDeviation(m2, m1, d2, d1, fg.f, fg.g, LitsOptions{})
+			ba, err := Deviation(lits, m2, m1, d2, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +120,7 @@ func TestInvariantsLits(t *testing.T) {
 				t.Errorf("seed %d %s: deviation %v < 0", seed, fg.name, ab)
 			}
 			// Focussing on everything changes nothing, exactly.
-			full, err := LitsDeviation(m1, m2, d1, d2, fg.f, fg.g, LitsOptions{Focus: func(apriori.Itemset) bool { return true }})
+			full, err := Deviation(lits, m1, m2, d1, d2, fg.f, fg.g, WithFocusItemsets(func(apriori.Itemset) bool { return true }))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,11 +130,11 @@ func TestInvariantsLits(t *testing.T) {
 		}
 		// Max <= Sum for both difference functions.
 		for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
-			sum, err := LitsDeviation(m1, m2, d1, d2, f, Sum, LitsOptions{})
+			sum, err := Deviation(lits, m1, m2, d1, d2, f, Sum)
 			if err != nil {
 				t.Fatal(err)
 			}
-			max, err := LitsDeviation(m1, m2, d1, d2, f, Max, LitsOptions{})
+			max, err := Deviation(lits, m1, m2, d1, d2, f, Max)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,6 +147,7 @@ func TestInvariantsLits(t *testing.T) {
 
 func TestInvariantsDT(t *testing.T) {
 	cfg := dtree.Config{MaxDepth: 5, MinLeaf: 30}
+	dt := DT(cfg)
 	for seed := int64(0); seed < invariantSeeds; seed++ {
 		d1, d2 := invariantClassData(t, seed)
 		m1, err := BuildDTModel(d1, cfg)
@@ -157,18 +159,18 @@ func TestInvariantsDT(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fg := range invariantFG() {
-			self, err := DTDeviation(m1, m1, d1, d1, fg.f, fg.g, DTOptions{})
+			self, err := Deviation(dt, m1, m1, d1, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if self != 0 {
 				t.Errorf("seed %d %s: delta(D,D) = %v, want 0", seed, fg.name, self)
 			}
-			ab, err := DTDeviation(m1, m2, d1, d2, fg.f, fg.g, DTOptions{})
+			ab, err := Deviation(dt, m1, m2, d1, d2, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ba, err := DTDeviation(m2, m1, d2, d1, fg.f, fg.g, DTOptions{})
+			ba, err := Deviation(dt, m2, m1, d2, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +180,7 @@ func TestInvariantsDT(t *testing.T) {
 			if ab < 0 {
 				t.Errorf("seed %d %s: deviation %v < 0", seed, fg.name, ab)
 			}
-			full, err := DTDeviation(m1, m2, d1, d2, fg.f, fg.g, DTOptions{Focus: region.Full(d1.Schema)})
+			full, err := Deviation(dt, m1, m2, d1, d2, fg.f, fg.g, WithFocus(region.Full(d1.Schema)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +189,11 @@ func TestInvariantsDT(t *testing.T) {
 			}
 		}
 		for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
-			sum, err := DTDeviation(m1, m2, d1, d2, f, Sum, DTOptions{})
+			sum, err := Deviation(dt, m1, m2, d1, d2, f, Sum)
 			if err != nil {
 				t.Fatal(err)
 			}
-			max, err := DTDeviation(m1, m2, d1, d2, f, Max, DTOptions{})
+			max, err := Deviation(dt, m1, m2, d1, d2, f, Max)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,6 +211,7 @@ func TestInvariantsCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	const minDensity = 0.02
+	cl := Cluster(grid, minDensity)
 	for seed := int64(0); seed < invariantSeeds; seed++ {
 		d1, d2 := invariantClassData(t, seed)
 		m1, err := BuildClusterModel(d1, grid, minDensity)
@@ -220,18 +223,18 @@ func TestInvariantsCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fg := range invariantFG() {
-			self, err := ClusterDeviation(m1, m1, d1, d1, fg.f, fg.g)
+			self, err := Deviation(cl, m1, m1, d1, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if self != 0 {
 				t.Errorf("seed %d %s: delta(D,D) = %v, want 0", seed, fg.name, self)
 			}
-			ab, err := ClusterDeviation(m1, m2, d1, d2, fg.f, fg.g)
+			ab, err := Deviation(cl, m1, m2, d1, d2, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ba, err := ClusterDeviation(m2, m1, d2, d1, fg.f, fg.g)
+			ba, err := Deviation(cl, m2, m1, d2, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,11 +246,11 @@ func TestInvariantsCluster(t *testing.T) {
 			}
 		}
 		for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
-			sum, err := ClusterDeviation(m1, m2, d1, d2, f, Sum)
+			sum, err := Deviation(cl, m1, m2, d1, d2, f, Sum)
 			if err != nil {
 				t.Fatal(err)
 			}
-			max, err := ClusterDeviation(m1, m2, d1, d2, f, Max)
+			max, err := Deviation(cl, m1, m2, d1, d2, f, Max)
 			if err != nil {
 				t.Fatal(err)
 			}

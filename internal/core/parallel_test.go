@@ -59,12 +59,12 @@ func TestLitsDeviationParallelEquivalence(t *testing.T) {
 	}
 	for _, fd := range equivDiffs {
 		for _, gd := range equivAggs {
-			serial, err := LitsDeviation(m1, m2, d1, d2, fd.f, gd.g, LitsOptions{Parallelism: 1})
+			serial, err := Deviation(Lits(0.02), m1, m2, d1, d2, fd.f, gd.g, WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range equivWorkers {
-				par, err := LitsDeviation(m1, m2, d1, d2, fd.f, gd.g, LitsOptions{Parallelism: p})
+				par, err := Deviation(Lits(0.02), m1, m2, d1, d2, fd.f, gd.g, WithParallelism(p))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,12 +123,12 @@ func TestDTDeviationParallelEquivalence(t *testing.T) {
 	}
 	for _, fd := range equivDiffs {
 		for _, gd := range equivAggs {
-			serial, err := DTDeviation(m1, m2, d1, d2, fd.f, gd.g, DTOptions{Parallelism: 1})
+			serial, err := Deviation(DT(cfg), m1, m2, d1, d2, fd.f, gd.g, WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range equivWorkers {
-				par, err := DTDeviation(m1, m2, d1, d2, fd.f, gd.g, DTOptions{Parallelism: p})
+				par, err := Deviation(DT(cfg), m1, m2, d1, d2, fd.f, gd.g, WithParallelism(p))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,12 +173,12 @@ func TestClusterDeviationParallelEquivalence(t *testing.T) {
 	}
 	for _, fd := range equivDiffs {
 		for _, gd := range equivAggs {
-			serial, err := ClusterDeviationWith(m1, m2, d1, d2, fd.f, gd.g, ClusterOptions{Parallelism: 1})
+			serial, err := Deviation(Cluster(g, 0.01), m1, m2, d1, d2, fd.f, gd.g, WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range equivWorkers {
-				par, err := ClusterDeviationWith(m1, m2, d1, d2, fd.f, gd.g, ClusterOptions{Parallelism: p})
+				par, err := Deviation(Cluster(g, 0.01), m1, m2, d1, d2, fd.f, gd.g, WithParallelism(p))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,14 +208,14 @@ func TestQualifyLitsParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := QualifyLits(d1, d2, 0.03, AbsoluteDiff, Sum,
-		QualifyOptions{Replicates: 13, Seed: 57, Parallelism: 1})
+	serial, err := Qualify(Lits(0.03), d1, d2, AbsoluteDiff, Sum,
+		WithReplicates(13), WithSeed(57), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 5, 0} {
-		par, err := QualifyLits(d1, d2, 0.03, AbsoluteDiff, Sum,
-			QualifyOptions{Replicates: 13, Seed: 57, Parallelism: p})
+		par, err := Qualify(Lits(0.03), d1, d2, AbsoluteDiff, Sum,
+			WithReplicates(13), WithSeed(57), WithParallelism(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,8 +252,8 @@ func TestQualifyExtensionRaceRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := QualifyLits(base, ext, 0.05, AbsoluteDiff, Sum,
-		QualifyOptions{Replicates: 16, Seed: 60, Extension: true, Parallelism: 4}); err != nil {
+	if _, err := Qualify(Lits(0.05), base, ext, AbsoluteDiff, Sum,
+		WithReplicates(16), WithSeed(60), WithExtension(), WithParallelism(4)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -264,8 +264,8 @@ func TestQualifyExtensionRaceRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := QualifyDT(dBase, dExt, dtree.Config{MaxDepth: 4, MinLeaf: 25}, AbsoluteDiff, Sum,
-		QualifyOptions{Replicates: 16, Seed: 62, Extension: true, Parallelism: 4}); err != nil {
+	if _, err := Qualify(DT(dtree.Config{MaxDepth: 4, MinLeaf: 25}), dBase, dExt, AbsoluteDiff, Sum,
+		WithReplicates(16), WithSeed(62), WithExtension(), WithParallelism(4)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -331,14 +331,14 @@ func TestDTQualifyParallelEquivalence(t *testing.T) {
 	d1 := randomDTDataset(rng, 1200)
 	d2 := randomDTDataset(rng, 1400)
 	cfg := dtree.Config{MaxDepth: 5, MinLeaf: 20}
-	serial, err := QualifyDT(d1, d2, cfg, AbsoluteDiff, Sum,
-		QualifyOptions{Replicates: 12, Seed: 65, Parallelism: 1})
+	serial, err := Qualify(DT(cfg), d1, d2, AbsoluteDiff, Sum,
+		WithReplicates(12), WithSeed(65), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range equivWorkers {
-		par, err := QualifyDT(d1, d2, cfg, AbsoluteDiff, Sum,
-			QualifyOptions{Replicates: 12, Seed: 65, Parallelism: p})
+		par, err := Qualify(DT(cfg), d1, d2, AbsoluteDiff, Sum,
+			WithReplicates(12), WithSeed(65), WithParallelism(p))
 		if err != nil {
 			t.Fatal(err)
 		}

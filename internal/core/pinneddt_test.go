@@ -107,8 +107,17 @@ func TestClusterDeviationMeasuresDatasets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The oracle always rescans.
-	want, err := ClusterDeviationWith(m1, m2, d1, d3, AbsoluteDiff, Sum, ClusterOptions{Parallelism: 1})
+	// The oracle always rescans: models built outside the class carry no
+	// inducing cell counts.
+	o1, err := BuildClusterModel(d1, grid, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2, err := BuildClusterModel(d2, grid, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Deviation(mc, o1, o2, d1, d3, AbsoluteDiff, Sum, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestLitsSelfDeviationZero(t *testing.T) {
 		}
 		for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
 			for _, g := range []AggFunc{Sum, Max} {
-				dev, err := LitsDeviation(m, m, d, d, f, g, LitsOptions{})
+				dev, err := Deviation(Lits(0.1), m, m, d, d, f, g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,11 +80,11 @@ func TestLitsDeviationSymmetry(t *testing.T) {
 		m1, _ := MineLits(d1, 0.1)
 		m2, _ := MineLits(d2, 0.1)
 		for _, g := range []AggFunc{Sum, Max} {
-			a, err := LitsDeviation(m1, m2, d1, d2, AbsoluteDiff, g, LitsOptions{})
+			a, err := Deviation(Lits(0.1), m1, m2, d1, d2, AbsoluteDiff, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := LitsDeviation(m2, m1, d2, d1, AbsoluteDiff, g, LitsOptions{})
+			b, err := Deviation(Lits(0.1), m2, m1, d2, d1, AbsoluteDiff, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestTheorem41GCRLeastDeviationLits(t *testing.T) {
 
 		for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
 			for _, g := range []AggFunc{Sum, Max} {
-				viaGCR, err := LitsDeviation(m1, m2, d1, d2, f, g, LitsOptions{})
+				viaGCR, err := Deviation(Lits(0.15), m1, m2, d1, d2, f, g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func TestTheorem42UpperBoundDominates(t *testing.T) {
 		m1, _ := MineLits(d1, 0.12)
 		m2, _ := MineLits(d2, 0.12)
 		for _, g := range []AggFunc{Sum, Max} {
-			dev, err := LitsDeviation(m1, m2, d1, d2, AbsoluteDiff, g, LitsOptions{})
+			dev, err := Deviation(Lits(0.12), m1, m2, d1, d2, AbsoluteDiff, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,15 +202,15 @@ func TestLitsFocusMonotone(t *testing.T) {
 	d2 := skewedTxnDataset(rng, 150, 10, 6)
 	m1, _ := MineLits(d1, 0.1)
 	m2, _ := MineLits(d2, 0.1)
-	narrow := LitsOptions{Focus: func(s apriori.Itemset) bool { return len(s) >= 2 }}
-	wide := LitsOptions{Focus: func(s apriori.Itemset) bool { return true }}
+	narrow := WithFocusItemsets(func(s apriori.Itemset) bool { return len(s) >= 2 })
+	wide := WithFocusItemsets(func(s apriori.Itemset) bool { return true })
 	for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
 		for _, g := range []AggFunc{Sum, Max} {
-			dn, err := LitsDeviation(m1, m2, d1, d2, f, g, narrow)
+			dn, err := Deviation(Lits(0.1), m1, m2, d1, d2, f, g, narrow)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dw, err := LitsDeviation(m1, m2, d1, d2, f, g, wide)
+			dw, err := Deviation(Lits(0.1), m1, m2, d1, d2, f, g, wide)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,13 +252,14 @@ func randomDTDataset(rng *rand.Rand, n int) *dataset.Dataset {
 func TestDTSelfDeviationZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := randomDTDataset(rng, 500)
-	m, err := BuildDTModel(d, dtree.Config{MaxDepth: 5, MinLeaf: 20})
+	cfg := dtree.Config{MaxDepth: 5, MinLeaf: 20}
+	m, err := BuildDTModel(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
 		for _, g := range []AggFunc{Sum, Max} {
-			dev, err := DTDeviation(m, m, d, d, f, g, DTOptions{})
+			dev, err := Deviation(DT(cfg), m, m, d, d, f, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,14 +274,15 @@ func TestDTDeviationSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d1 := randomDTDataset(rng, 400)
 	d2 := randomDTDataset(rng, 450)
-	m1, _ := BuildDTModel(d1, dtree.Config{MaxDepth: 4, MinLeaf: 20})
-	m2, _ := BuildDTModel(d2, dtree.Config{MaxDepth: 4, MinLeaf: 20})
+	cfg := dtree.Config{MaxDepth: 4, MinLeaf: 20}
+	m1, _ := BuildDTModel(d1, cfg)
+	m2, _ := BuildDTModel(d2, cfg)
 	for _, g := range []AggFunc{Sum, Max} {
-		a, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, g, DTOptions{})
+		a, err := Deviation(DT(cfg), m1, m2, d1, d2, AbsoluteDiff, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := DTDeviation(m2, m1, d2, d1, AbsoluteDiff, g, DTOptions{})
+		b, err := Deviation(DT(cfg), m2, m1, d2, d1, AbsoluteDiff, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +334,7 @@ func TestTheorem43GCRLeastDeviationDT(t *testing.T) {
 	}
 }
 
-// The routed deviation (DTDeviation) agrees with the geometric region-based
+// The routed deviation (Deviation with DT) agrees with the geometric region-based
 // computation (DTDeviationOverRegions on class-constrained GCR boxes) — the
 // ablation pair of DESIGN.md.
 func TestDTRoutingMatchesGeometry(t *testing.T) {
@@ -340,8 +342,9 @@ func TestDTRoutingMatchesGeometry(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		d1 := randomDTDataset(rng, 300)
 		d2 := randomDTDataset(rng, 350)
-		m1, _ := BuildDTModel(d1, dtree.Config{MaxDepth: 4, MinLeaf: 15})
-		m2, _ := BuildDTModel(d2, dtree.Config{MaxDepth: 4, MinLeaf: 15})
+		cfg := dtree.Config{MaxDepth: 4, MinLeaf: 15}
+		m1, _ := BuildDTModel(d1, cfg)
+		m2, _ := BuildDTModel(d2, cfg)
 		gcr, err := DTGCRRegions(m1, m2)
 		if err != nil {
 			t.Fatal(err)
@@ -351,7 +354,7 @@ func TestDTRoutingMatchesGeometry(t *testing.T) {
 			boxes[i] = r.Box.ConstrainClass(r.Class)
 		}
 		for _, g := range []AggFunc{Sum, Max} {
-			routed, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, g, DTOptions{})
+			routed, err := Deviation(DT(cfg), m1, m2, d1, d2, AbsoluteDiff, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,15 +374,16 @@ func TestDTClassFocusDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	d1 := randomDTDataset(rng, 400)
 	d2 := randomDTDataset(rng, 400)
-	m1, _ := BuildDTModel(d1, dtree.Config{MaxDepth: 4, MinLeaf: 20})
-	m2, _ := BuildDTModel(d2, dtree.Config{MaxDepth: 4, MinLeaf: 20})
+	cfg := dtree.Config{MaxDepth: 4, MinLeaf: 20}
+	m1, _ := BuildDTModel(d1, cfg)
+	m2, _ := BuildDTModel(d2, cfg)
 	s := dtTestSchema()
-	full, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, DTOptions{})
+	full, err := Deviation(DT(cfg), m1, m2, d1, d2, AbsoluteDiff, Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, _ := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, DTOptions{Focus: region.Full(s).ConstrainClass(0)})
-	c1, _ := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, DTOptions{Focus: region.Full(s).ConstrainClass(1)})
+	c0, _ := Deviation(DT(cfg), m1, m2, d1, d2, AbsoluteDiff, Sum, WithFocus(region.Full(s).ConstrainClass(0)))
+	c1, _ := Deviation(DT(cfg), m1, m2, d1, d2, AbsoluteDiff, Sum, WithFocus(region.Full(s).ConstrainClass(1)))
 	if c0 > full+1e-12 || c1 > full+1e-12 {
 		t.Errorf("class focus exceeds full deviation: %v,%v vs %v", c0, c1, full)
 	}
@@ -395,8 +399,9 @@ func TestDTFocusMonotoneOnAlignedBoxes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d1 := randomDTDataset(rng, 400)
 	d2 := randomDTDataset(rng, 400)
-	m1, _ := BuildDTModel(d1, dtree.Config{MaxDepth: 3, MinLeaf: 20})
-	m2, _ := BuildDTModel(d2, dtree.Config{MaxDepth: 3, MinLeaf: 20})
+	cfg := dtree.Config{MaxDepth: 3, MinLeaf: 20}
+	m1, _ := BuildDTModel(d1, cfg)
+	m2, _ := BuildDTModel(d2, cfg)
 	s := dtTestSchema()
 	// The root split threshold of m1 is a boundary of every GCR region.
 	if m1.Tree.Root.IsLeaf() {
@@ -406,11 +411,11 @@ func TestDTFocusMonotoneOnAlignedBoxes(t *testing.T) {
 	attr := m1.Tree.Root.Attr
 	narrow := region.Full(s).ConstrainUpper(attr, thr)
 	for _, g := range []AggFunc{Sum, Max} {
-		dn, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, g, DTOptions{Focus: narrow})
+		dn, err := Deviation(DT(cfg), m1, m2, d1, d2, AbsoluteDiff, g, WithFocus(narrow))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dw, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, g, DTOptions{})
+		dw, err := Deviation(DT(cfg), m1, m2, d1, d2, AbsoluteDiff, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,14 +428,15 @@ func TestDTFocusMonotoneOnAlignedBoxes(t *testing.T) {
 func TestDTDeviationSchemaMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	d1 := randomDTDataset(rng, 200)
-	m1, _ := BuildDTModel(d1, dtree.Config{MaxDepth: 3, MinLeaf: 20})
+	cfg := dtree.Config{MaxDepth: 3, MinLeaf: 20}
+	m1, _ := BuildDTModel(d1, cfg)
 	other := dataset.NewClassSchema(1,
 		dataset.Attribute{Name: "z", Kind: dataset.Numeric, Min: 0, Max: 1},
 		dataset.Attribute{Name: "class", Kind: dataset.Categorical, Values: []string{"0", "1"}},
 	)
 	d2 := dataset.FromTuples(other, []dataset.Tuple{{0.5, 0}})
 	m2, _ := BuildDTModel(d2, dtree.Config{MaxDepth: 2, MinLeaf: 1})
-	if _, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, DTOptions{}); err == nil {
+	if _, err := Deviation(DT(cfg), m1, m2, d1, d2, AbsoluteDiff, Sum); err == nil {
 		t.Error("cross-schema dt deviation succeeded")
 	}
 	if _, err := DTGCRRegions(m1, m2); err == nil {

@@ -1,21 +1,14 @@
 package core
 
-import (
-	"focus/internal/dataset"
-	"focus/internal/dtree"
-	"focus/internal/txn"
-)
-
-// This file implements the qualification procedure of Section 3.4: is an
-// observed deviation so large that the two datasets are unlikely to have
-// been generated by the same process? The null distribution F of deviations
-// between same-process datasets is estimated by bootstrapping: the two
-// datasets are pooled, resample pairs of the original sizes are drawn with
-// replacement, and the deviation is recomputed on each pair (models are
-// re-induced on the resamples). sig(d) is the percentage of the null
-// distribution below the observed deviation d. The procedure is written
-// once, generically, in Qualify (modelclass.go); this file keeps the
-// deprecated per-class wrappers.
+// This file holds the result of the qualification procedure of Section
+// 3.4: is an observed deviation so large that the two datasets are unlikely
+// to have been generated by the same process? The null distribution F of
+// deviations between same-process datasets is estimated by bootstrapping:
+// the two datasets are pooled, resample pairs of the original sizes are
+// drawn with replacement, and the deviation is recomputed on each pair
+// (models are re-induced on the resamples). sig(d) is the percentage of the
+// null distribution below the observed deviation d. The procedure itself is
+// written once, for every model class, in Qualify (modelclass.go).
 
 // Qualification reports an observed deviation with its bootstrap
 // significance.
@@ -30,61 +23,4 @@ type Qualification struct {
 	Significance float64
 	// Null is the sorted bootstrap null distribution.
 	Null []float64
-}
-
-// QualifyOptions tunes the bootstrap.
-//
-// Deprecated: use the unified Config options (WithReplicates, WithSeed,
-// WithExtension, WithParallelism) with Qualify.
-type QualifyOptions struct {
-	// Replicates is the number of bootstrap pairs (default
-	// stats.DefaultBootstrapReplicates).
-	Replicates int
-	// Seed makes the bootstrap deterministic.
-	Seed int64
-	// Extension declares that d2 extends d1 — the monitoring setting of
-	// Section 7, where D2 = D + Δ is the old snapshot plus a new block, so
-	// the two datasets share most of their tuples. The null then preserves
-	// that dependence: each replicate draws r1 from the pool and extends it
-	// with a fresh |D2|-|D1| block, instead of drawing two independent
-	// resamples (which overdisperses the null and masks small appended
-	// blocks). Requires |D2| >= |D1|.
-	Extension bool
-
-	// Parallelism controls the bootstrap worker count and the sharding of
-	// the observed deviation's scans: 0 uses the process default
-	// (GOMAXPROCS unless overridden by a -parallelism flag), 1 runs
-	// everything serially, n >= 2 uses n workers. Replicates parallelize
-	// across workers while each replicate's own deviation stays serial —
-	// replicate-level parallelism already saturates the workers. Results
-	// are identical for every setting.
-	Parallelism int
-}
-
-// config converts the deprecated options struct into the unified Config.
-func (o QualifyOptions) config() Config {
-	return Config{
-		Replicates:  o.Replicates,
-		Seed:        o.Seed,
-		Extension:   o.Extension,
-		Parallelism: o.Parallelism,
-	}
-}
-
-// QualifyLits computes the deviation delta(f,g) between d1 and d2 through
-// freshly mined lits-models and its bootstrap significance.
-//
-// Deprecated: use Qualify with the Lits model class; QualifyLits is a thin
-// wrapper kept for compatibility and produces bit-identical results.
-func QualifyLits(d1, d2 *txn.Dataset, minSupport float64, f DiffFunc, g AggFunc, opts QualifyOptions) (Qualification, error) {
-	return Qualify(Lits(minSupport), d1, d2, f, g, WithConfig(opts.config()))
-}
-
-// QualifyDT computes the deviation delta(f,g) between d1 and d2 through
-// freshly built dt-models and its bootstrap significance.
-//
-// Deprecated: use Qualify with the DT model class; QualifyDT is a thin
-// wrapper kept for compatibility and produces bit-identical results.
-func QualifyDT(d1, d2 *dataset.Dataset, cfg dtree.Config, f DiffFunc, g AggFunc, opts QualifyOptions) (Qualification, error) {
-	return Qualify(DT(cfg), d1, d2, f, g, WithConfig(opts.config()))
 }

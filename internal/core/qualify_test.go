@@ -24,7 +24,7 @@ func TestQualifyLitsSameProcessInsignificant(t *testing.T) {
 	// Two halves of one generated stream: same process.
 	d1 := g.GenerateN(1000)
 	d2 := g.GenerateN(1000)
-	q, err := QualifyLits(d1, d2, 0.03, AbsoluteDiff, Sum, QualifyOptions{Replicates: 29, Seed: 2})
+	q, err := Qualify(Lits(0.03), d1, d2, AbsoluteDiff, Sum, WithReplicates(29), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestQualifyLitsDifferentProcessSignificant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := QualifyLits(d1, d2, 0.03, AbsoluteDiff, Sum, QualifyOptions{Replicates: 29, Seed: 5})
+	q, err := Qualify(Lits(0.03), d1, d2, AbsoluteDiff, Sum, WithReplicates(29), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestQualifyDTDetectsFunctionChange(t *testing.T) {
 		d2.Add(dataset.Tuple{x, y, cls})
 	}
 	cfg := dtree.Config{MaxDepth: 4, MinLeaf: 30}
-	q, err := QualifyDT(d1, d2, cfg, AbsoluteDiff, Sum, QualifyOptions{Replicates: 19, Seed: 6})
+	q, err := Qualify(DT(cfg), d1, d2, AbsoluteDiff, Sum, WithReplicates(19), WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestQualifyDTSameProcessInsignificant(t *testing.T) {
 	whole := randomDTDataset(rng, 2400)
 	d1, d2 := whole.Split(1200)
 	cfg := dtree.Config{MaxDepth: 4, MinLeaf: 30}
-	q, err := QualifyDT(d1, d2, cfg, AbsoluteDiff, Sum, QualifyOptions{Replicates: 19, Seed: 7})
+	q, err := Qualify(DT(cfg), d1, d2, AbsoluteDiff, Sum, WithReplicates(19), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestQualifyDTExtensionDetectsAppendedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := dtree.Config{MaxDepth: 4, MinLeaf: 30}
-	q, err := QualifyDT(base, extended, cfg, AbsoluteDiff, Sum,
-		QualifyOptions{Replicates: 19, Seed: 41, Extension: true})
+	q, err := Qualify(DT(cfg), base, extended, AbsoluteDiff, Sum,
+		WithReplicates(19), WithSeed(41), WithExtension())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,8 @@ func TestQualifyDTExtensionDetectsAppendedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := QualifyDT(base, sameExt, cfg, AbsoluteDiff, Sum,
-		QualifyOptions{Replicates: 19, Seed: 42, Extension: true})
+	q2, err := Qualify(DT(cfg), base, sameExt, AbsoluteDiff, Sum,
+		WithReplicates(19), WithSeed(42), WithExtension())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +147,19 @@ func TestQualifyDTExtensionDetectsAppendedBlock(t *testing.T) {
 		t.Errorf("same-process extension significance = %v, want low", q2.Significance)
 	}
 	// |D2| < |D1| is rejected under Extension.
-	if _, err := QualifyDT(extended, base, cfg, AbsoluteDiff, Sum,
-		QualifyOptions{Replicates: 9, Seed: 43, Extension: true}); err == nil {
+	if _, err := Qualify(DT(cfg), extended, base, AbsoluteDiff, Sum,
+		WithReplicates(9), WithSeed(43), WithExtension()); err == nil {
 		t.Error("Extension with |D2| < |D1| accepted")
 	}
 }
 
 func TestQualifyValidation(t *testing.T) {
 	emptyTxn := txn.New(10)
-	if _, err := QualifyLits(emptyTxn, emptyTxn, 0.1, AbsoluteDiff, Sum, QualifyOptions{}); err == nil {
+	if _, err := Qualify(Lits(0.1), emptyTxn, emptyTxn, AbsoluteDiff, Sum); err == nil {
 		t.Error("empty transaction datasets accepted")
 	}
 	empty := dataset.New(dtTestSchema())
-	if _, err := QualifyDT(empty, empty, dtree.Config{}, AbsoluteDiff, Sum, QualifyOptions{}); err == nil {
+	if _, err := Qualify(DT(dtree.Config{}), empty, empty, AbsoluteDiff, Sum); err == nil {
 		t.Error("empty dt datasets accepted")
 	}
 }
@@ -184,7 +184,7 @@ func TestClusterDeviationIdenticalZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := ClusterDeviation(m, m, d, d, AbsoluteDiff, Sum)
+	dev, err := Deviation(Cluster(g, 0.01), m, m, d, d, AbsoluteDiff, Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestClusterDeviationDetectsShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := ClusterDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum)
+	dev, err := Deviation(Cluster(g, 0.01), m1, m2, d1, d2, AbsoluteDiff, Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestClusterDeviationDetectsShift(t *testing.T) {
 	// Mismatched grids are rejected.
 	g2, _ := cluster.NewGrid(s, []int{0, 1}, 20)
 	m3, _ := BuildClusterModel(d2, g2, 0.01)
-	if _, err := ClusterDeviation(m1, m3, d1, d2, AbsoluteDiff, Sum); err == nil {
+	if _, err := Deviation(Cluster(g, 0.01), m1, m3, d1, d2, AbsoluteDiff, Sum); err == nil {
 		t.Error("cross-grid cluster deviation succeeded")
 	}
 }

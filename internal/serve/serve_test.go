@@ -160,6 +160,9 @@ func TestCreateSessionValidation(t *testing.T) {
 		{"cluster missing reference", `{"name": "m", "model": "cluster", "grid_attrs": ["x"],
 			"schema": {"attrs": [{"name": "x", "kind": "numeric", "min": 0, "max": 1}]}}`, 400},
 		{"cluster bad reference row", strings.Replace(clusterSession("m"), `{"x": 10}`, `{"x": 200}`, 1), 400},
+		{"cluster bad density without reference", `{"name": "bad-density", "model": "cluster", "grid_attrs": ["x"], "grid_bins": 4,
+			"min_density": -0.5, "window": 1, "previous_window": true,
+			"schema": {"attrs": [{"name": "x", "kind": "numeric", "min": 0, "max": 100}]}}`, 400},
 		{"lits missing universe", `{"name": "m", "model": "lits", "min_support": 0.1, "reference": [[0]]}`, 400},
 		{"lits bad support", `{"name": "m", "model": "lits", "num_items": 5, "min_support": 2, "reference": [[0]]}`, 400},
 		{"lits item outside universe", `{"name": "m", "model": "lits", "num_items": 5, "min_support": 0.1, "reference": [[9]]}`, 400},

@@ -24,13 +24,13 @@ func BenchmarkLitsMonitorIncremental(b *testing.B) {
 	b.ReportAllocs()
 	ref, batches := benchStream(b)
 	const minSupport = 0.02
-	mon, err := NewLitsMonitor(ref, minSupport, Options{WindowBatches: 8, Parallelism: 1})
+	mon, err := New(core.Lits(minSupport), ref, Options{WindowBatches: 8, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mon.Ingest(batches[i%len(batches)]); err != nil {
+		if _, err := mon.Ingest(&txn.Dataset{NumItems: ref.NumItems, Txns: batches[i%len(batches)]}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -77,8 +77,7 @@ func withDefaults(o Options) (Options, error) {
 }
 
 // Monitor is an incremental windowed deviation monitor over batch datasets
-// of D through models of M. Construct one with New (or the deprecated
-// per-class constructors).
+// of D through models of M. Construct one with New.
 //
 // A Monitor is safe for concurrent use: intake is serialized by an internal
 // mutex, so any number of producers (Pump goroutines, focusd handlers) can
