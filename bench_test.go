@@ -499,6 +499,21 @@ func BenchmarkQualifyLits(b *testing.B) {
 	}
 }
 
+// The dt bootstrap on the classgen F2/F3 pair: replicate trees grow from
+// the pool's ranks and the GCR overlay is counted through the dense
+// leaf-pair table.
+func BenchmarkQualifyDT(b *testing.B) {
+	b.ReportAllocs()
+	d1, d2, _, _ := ablationDTData(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Qualify(core.DT(ablationDTConfig), d1, d2, core.AbsoluteDiff, core.Sum,
+			core.WithReplicates(11), core.WithSeed(15)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 var sinkFloat float64
 
 // Baseline: raw deviation arithmetic over a prepared GCR (Definition 3.5),

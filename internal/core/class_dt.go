@@ -40,6 +40,66 @@ func (dtClass) MeasureGCR(m1, m2 *DTModel, d1, d2 *dataset.Dataset, cfg *Config)
 	return dtMeasureGCR(m1, m2, d1, d2, cfg)
 }
 
+// newReplicate implements the bootstrapper fast path for dt-models: the
+// pool's numeric attributes are ranked once, and each replicate grows its
+// two trees from those ranks (dtree.BuildSample) instead of sorting every
+// attribute of every resample again. A replicate draws pool row indices
+// with exactly Resample's RNG calls and gathers the drawn tuples, so the
+// trees, the GCR counts and the replicate deviation are bit-identical to
+// the generic Resample/Induce/MeasureGCR path — pinned by
+// TestDTQualifyBootstrapEquivalence.
+func (c dtClass) newReplicate(pool *dataset.Dataset, cfg *Config) (replicateFunc, bool) {
+	ranks, err := dtree.NewRanks(pool, cfg.Parallelism)
+	if err != nil {
+		return nil, false
+	}
+	serial := *cfg
+	serial.Parallelism = 1
+	rep := func(rng *rand.Rand, n1, n2, blockN int, extension bool, f DiffFunc, g AggFunc) float64 {
+		rows1 := drawRows(nil, len(pool.Tuples), n1, rng)
+		var rows2 []int32
+		if extension {
+			rows2 = drawRows(append(make([]int32, 0, n1+blockN), rows1...), len(pool.Tuples), blockN, rng)
+		} else {
+			rows2 = drawRows(nil, len(pool.Tuples), n2, rng)
+		}
+		s1, s2 := gatherRows(pool, rows1), gatherRows(pool, rows2)
+		t1, err := dtree.BuildSample(s1, ranks, rows1, c.cfg)
+		if err != nil {
+			panic(err)
+		}
+		t2, err := dtree.BuildSample(s2, ranks, rows2, c.cfg)
+		if err != nil {
+			panic(err)
+		}
+		regions, err := dtMeasureGCR(&DTModel{Tree: t1, N: s1.Len()}, &DTModel{Tree: t2, N: s2.Len()}, s1, s2, &serial)
+		if err != nil {
+			panic(err)
+		}
+		return Deviation1(regions, float64(s1.Len()), float64(s2.Len()), f, g)
+	}
+	return rep, true
+}
+
+// drawRows appends n row indices drawn with replacement from [0, poolN),
+// one rng.Intn(poolN) per row — the RNG calls of dataset.Resample.
+func drawRows(rows []int32, poolN, n int, rng *rand.Rand) []int32 {
+	for i := 0; i < n; i++ {
+		rows = append(rows, int32(rng.Intn(poolN)))
+	}
+	return rows
+}
+
+// gatherRows returns the sample whose tuple i is the pool's tuple rows[i],
+// sharing tuple storage with the pool as Resample does.
+func gatherRows(pool *dataset.Dataset, rows []int32) *dataset.Dataset {
+	out := &dataset.Dataset{Schema: pool.Schema, Tuples: make([]dataset.Tuple, len(rows))}
+	for i, p := range rows {
+		out.Tuples[i] = pool.Tuples[p]
+	}
+	return out
+}
+
 // Dt-models have no incremental summary of their own — re-growing a tree
 // per window advance is not a mergeable-count computation. The monitoring
 // regime of Section 5.2 instead pins the reference tree's structure on the

@@ -52,23 +52,20 @@ func (c litsClass) MeasureGCR(m1, m2 *LitsModel, d1, d2 *txn.Dataset, cfg *Confi
 	if d1.NumItems != d2.NumItems {
 		return nil, fmt.Errorf("core: datasets have different item universes (%d vs %d)", d1.NumItems, d2.NumItems)
 	}
-	gcr := GCRItemsets(m1, m2)
-	if cfg.FocusItemsets != nil {
-		kept := gcr[:0]
-		for _, s := range gcr {
-			if cfg.FocusItemsets(s) {
-				kept = append(kept, s)
-			}
-		}
-		gcr = kept
-	}
-	c1 := apriori.CountItemsetsC(d1, gcr, cfg.Parallelism, c.counter)
-	c2 := apriori.CountItemsetsC(d2, gcr, cfg.Parallelism, c.counter)
-	regions := make([]MeasuredRegion, len(gcr))
-	for i := range gcr {
+	gcr := newLitsGCR(m1.FS, m2.FS)
+	gcr.focus(cfg.FocusItemsets)
+	c1 := apriori.CountItemsetsC(d1, gcr.sets, cfg.Parallelism, c.counter)
+	c2 := apriori.CountItemsetsC(d2, gcr.sets, cfg.Parallelism, c.counter)
+	return countRegions(c1, c2), nil
+}
+
+// countRegions pairs two aligned support-count vectors into regions.
+func countRegions(c1, c2 []int) []MeasuredRegion {
+	regions := make([]MeasuredRegion, len(c1))
+	for i := range regions {
 		regions[i] = MeasuredRegion{Alpha1: float64(c1[i]), Alpha2: float64(c2[i])}
 	}
-	return regions, nil
+	return regions
 }
 
 // viewPair is one bootstrap worker's reusable replicate state: two weighted
@@ -80,11 +77,13 @@ type viewPair struct {
 
 // newReplicate implements the bootstrapper fast path: when the vertical
 // engine is worth it for the pool, replicates draw multiplicity-vector
-// views instead of materializing resampled datasets, mine them through the
-// weighted vertical DFS, and count the GCR through the pool's memoized
-// index. The RNG stream, the integer counts, and hence the replicate
-// deviations are bit-identical to the generic Resample/Induce/MeasureGCR
-// path — pinned by TestQualifyViewBootstrapEquivalence.
+// views instead of materializing resampled datasets and mine them through
+// the weighted vertical DFS. Mining already counted every GCR itemset that
+// is frequent in a view, so only the itemsets frequent in the other view
+// alone are counted through the pool's memoized index. The RNG stream, the
+// integer counts, and hence the replicate deviations are bit-identical to
+// the generic Resample/Induce/MeasureGCR path — pinned by
+// TestQualifyViewBootstrapEquivalence.
 func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, bool) {
 	if !apriori.UseViewBootstrap(c.counter, pool) {
 		return nil, false
@@ -115,25 +114,35 @@ func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, 
 		if err != nil {
 			panic(err)
 		}
-		gcr := GCRItemsets(&LitsModel{FS: fs1}, &LitsModel{FS: fs2})
-		if keep != nil {
-			kept := gcr[:0]
-			for _, s := range gcr {
-				if keep(s) {
-					kept = append(kept, s)
-				}
-			}
-			gcr = kept
-		}
-		c1 := p.v1.Count(gcr)
-		c2 := p.v2.Count(gcr)
-		regions := make([]MeasuredRegion, len(gcr))
-		for i := range gcr {
-			regions[i] = MeasuredRegion{Alpha1: float64(c1[i]), Alpha2: float64(c2[i])}
-		}
-		return Deviation1(regions, float64(p.v1.N()), float64(p.v2.N()), f, g)
+		gcr := newLitsGCR(fs1, fs2)
+		gcr.focus(keep)
+		c1 := minedCounts(p.v1, fs1, gcr.sets, gcr.at1)
+		c2 := minedCounts(p.v2, fs2, gcr.sets, gcr.at2)
+		return Deviation1(countRegions(c1, c2), float64(p.v1.N()), float64(p.v2.N()), f, g)
 	}
 	return rep, true
+}
+
+// minedCounts returns the support under v of each GCR itemset, where fs was
+// mined from v and at gives each itemset's index in fs (-1 when not
+// frequent there): a frequent itemset's mined count is its support, so only
+// the others are counted through v.
+func minedCounts(v *apriori.View, fs *apriori.FrequentSet, sets []apriori.Itemset, at []int) []int {
+	counts := make([]int, len(sets))
+	var rest []apriori.Itemset
+	var restAt []int
+	for i, j := range at {
+		if j >= 0 {
+			counts[i] = fs.Counts[j]
+		} else {
+			rest = append(rest, sets[i])
+			restAt = append(restAt, i)
+		}
+	}
+	for k, c := range v.Count(rest) {
+		counts[restAt[k]] = c
+	}
+	return counts
 }
 
 func (c litsClass) NewWindow(parallelism int) (Window[*txn.Dataset, *LitsModel], error) {
@@ -157,14 +166,8 @@ func (litsClass) MeasureGCRWindows(m1, m2 *LitsModel, w1, w2 Window[*txn.Dataset
 	if lw1.numItems != lw2.numItems {
 		return nil, fmt.Errorf("core: datasets have different item universes (%d vs %d)", lw1.numItems, lw2.numItems)
 	}
-	gcr := GCRItemsets(m1, m2)
-	c1 := lw1.Count(gcr)
-	c2 := lw2.Count(gcr)
-	regions := make([]MeasuredRegion, len(gcr))
-	for i := range gcr {
-		regions[i] = MeasuredRegion{Alpha1: float64(c1[i]), Alpha2: float64(c2[i])}
-	}
-	return regions, nil
+	gcr := newLitsGCR(m1.FS, m2.FS)
+	return countRegions(lw1.Count(gcr.sets), lw2.Count(gcr.sets)), nil
 }
 
 // internTable assigns dense ids to itemsets, shared by every window of one

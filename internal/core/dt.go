@@ -83,34 +83,53 @@ func DTGCRRegions(m1, m2 *DTModel) ([]GCRRegion, error) {
 // tuple reaches plus its class label. It is the dt MeasureGCR of the
 // ModelClass abstraction.
 func dtMeasureGCR(m1, m2 *DTModel, d1, d2 *dataset.Dataset, cfg *Config) ([]MeasuredRegion, error) {
-	gcr, err := DTGCRRegions(m1, m2)
-	if err != nil {
-		return nil, err
+	if !m1.Tree.Schema.Equal(m2.Tree.Schema) {
+		return nil, errors.New("core: dt-models over different schemas have no GCR")
 	}
 	if !d1.Schema.Equal(m1.Tree.Schema) || !d2.Schema.Equal(m1.Tree.Schema) {
 		return nil, errors.New("core: datasets and models must share one schema")
 	}
 	k := m1.Tree.NumClasses()
+	n2 := m2.Tree.NumLeaves()
 	focus := cfg.FocusRegion
 
-	// Index the (geometrically non-empty) GCR regions by (leaf1, leaf2,
-	// class), applying the focussing intersection first.
-	type key struct{ l1, l2, c int }
-	idx := make(map[key]int, len(gcr))
-	regions := make([]MeasuredRegion, 0, len(gcr))
-	for _, r := range gcr {
-		if focus != nil {
-			fb := r.Box.Intersect(focus)
-			if fb == nil {
-				continue
+	// The regions are the (geometrically non-empty) GCR regions in
+	// DTGCRRegions order, those outside the focus dropped. Every kept leaf
+	// pair keeps the same classes — the ones the focus admits — so pair
+	// holds the index of a pair's first region (-1 = none), indexed
+	// leaf1*n2+leaf2, and slot the offset of each kept class within it.
+	slot := make([]int, k)
+	kept := 0
+	for c := range slot {
+		slot[c] = -1
+		if focus == nil || classAllowed(focus, c) {
+			slot[c] = kept
+			kept++
+		}
+	}
+	pair := make([]int32, m1.Tree.NumLeaves()*n2)
+	for i := range pair {
+		pair[i] = -1
+	}
+	// A pair is in the GCR when its leaf boxes overlap; unfocused, that is
+	// decided without building the intersection box.
+	var n int32
+	l2 := m2.Tree.Leaves()
+	for _, a := range m1.Tree.Leaves() {
+		for _, b := range l2 {
+			var in bool
+			if focus == nil {
+				in = a.Box.Overlaps(b.Box)
+			} else if box := a.Box.Intersect(b.Box); box != nil {
+				in = box.Intersect(focus) != nil
 			}
-			if !classAllowed(focus, r.Class) {
-				continue
+			if in {
+				pair[a.ID*n2+b.ID] = n
+				n += int32(kept)
 			}
 		}
-		idx[key{r.Leaf1, r.Leaf2, r.Class}] = len(regions)
-		regions = append(regions, MeasuredRegion{})
 	}
+	regions := make([]MeasuredRegion, n)
 
 	inFocus := func(t dataset.Tuple) bool {
 		return focus == nil || focus.Contains(t)
@@ -137,8 +156,11 @@ func dtMeasureGCR(m1, m2 *DTModel, d1, d2 *dataset.Dataset, cfg *Config) ([]Meas
 						acc.err = fmt.Errorf("core: tuple class %d outside model's %d classes", c, k)
 						return
 					}
-					if i, ok := idx[key{m1.Tree.LeafID(t), m2.Tree.LeafID(t), c}]; ok {
-						acc.counts[i]++
+					if c < 0 || slot[c] < 0 {
+						continue
+					}
+					if p := pair[m1.Tree.LeafID(t)*n2+m2.Tree.LeafID(t)]; p >= 0 {
+						acc.counts[int(p)+slot[c]]++
 					}
 				}
 			},

@@ -56,18 +56,92 @@ func (m *LitsModel) Len() int { return m.FS.Len() }
 // refinement of two lits-models: the union of their frequent itemsets
 // (Section 2.2), in lexicographic order.
 func GCRItemsets(m1, m2 *LitsModel) []apriori.Itemset {
-	seen := make(map[string]bool, m1.Len()+m2.Len())
-	out := make([]apriori.Itemset, 0, m1.Len()+m2.Len())
-	for _, src := range [2]*LitsModel{m1, m2} {
-		for _, s := range src.FS.Itemsets {
-			k := s.Key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, s)
-			}
+	return newLitsGCR(m1.FS, m2.FS).sets
+}
+
+// litsGCR is the GCR of two frequent sets built by one linear merge: the
+// union of their itemsets in lexicographic order, with each itemset's
+// index in the first (at1) and second (at2) set, -1 where it is not
+// frequent. The indices let a caller that mined both sets from the data it
+// measures read those supports instead of counting them again.
+type litsGCR struct {
+	sets     []apriori.Itemset
+	at1, at2 []int
+}
+
+// newLitsGCR merges fs1 and fs2. Every miner emits its itemsets in strictly
+// increasing lexicographic order, which the merge walks directly; a set in
+// any other order (a hand-built FrequentSet) is walked through a sorted,
+// de-duplicated permutation instead.
+func newLitsGCR(fs1, fs2 *apriori.FrequentSet) litsGCR {
+	s1, s2 := fs1.Itemsets, fs2.Itemsets
+	o1, o2 := lexOrder(s1), lexOrder(s2)
+	g := litsGCR{
+		sets: make([]apriori.Itemset, 0, len(o1)+len(o2)),
+		at1:  make([]int, 0, len(o1)+len(o2)),
+		at2:  make([]int, 0, len(o1)+len(o2)),
+	}
+	for i, j := 0, 0; i < len(o1) || j < len(o2); {
+		switch {
+		case j == len(o2) || (i < len(o1) && s1[o1[i]].Less(s2[o2[j]])):
+			g.add(s1[o1[i]], o1[i], -1)
+			i++
+		case i == len(o1) || s2[o2[j]].Less(s1[o1[i]]):
+			g.add(s2[o2[j]], -1, o2[j])
+			j++
+		default:
+			g.add(s1[o1[i]], o1[i], o2[j])
+			i++
+			j++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return g
+}
+
+func (g *litsGCR) add(s apriori.Itemset, i1, i2 int) {
+	g.sets = append(g.sets, s)
+	g.at1 = append(g.at1, i1)
+	g.at2 = append(g.at2, i2)
+}
+
+// focus keeps the itemsets keep admits (all of them when keep is nil).
+func (g *litsGCR) focus(keep func(apriori.Itemset) bool) {
+	if keep == nil {
+		return
+	}
+	n := 0
+	for i, s := range g.sets {
+		if keep(s) {
+			g.sets[n], g.at1[n], g.at2[n] = s, g.at1[i], g.at2[i]
+			n++
+		}
+	}
+	g.sets, g.at1, g.at2 = g.sets[:n], g.at1[:n], g.at2[:n]
+}
+
+// lexOrder returns the indices of sets in lexicographic order, without
+// duplicates: the identity when sets is strictly increasing (one O(n)
+// check), else a sorted permutation keeping the last occurrence of each
+// itemset, as FrequentSet.Lookup does.
+func lexOrder(sets []apriori.Itemset) []int {
+	order := make([]int, len(sets))
+	sorted := true
+	for i := range order {
+		order[i] = i
+		sorted = sorted && (i == 0 || sets[i-1].Less(sets[i]))
+	}
+	if sorted {
+		return order
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sets[order[a]].Less(sets[order[b]]) })
+	out := order[:0]
+	for _, i := range order {
+		if n := len(out); n > 0 && sets[out[n-1]].Equal(sets[i]) {
+			out[n-1] = i
+			continue
+		}
+		out = append(out, i)
+	}
 	return out
 }
 
@@ -93,18 +167,16 @@ func LitsDeviationOverRefinement(refinement []apriori.Itemset, d1, d2 *txn.Datas
 // difference. delta* satisfies the triangle inequality, making it usable as
 // a metric for embedding dataset collections (Section 4.1.1).
 func LitsUpperBound(m1, m2 *LitsModel, g AggFunc) float64 {
-	gcr := GCRItemsets(m1, m2)
+	gcr := newLitsGCR(m1.FS, m2.FS)
 	n1, n2 := float64(m1.N()), float64(m2.N())
-	diffs := make([]float64, len(gcr))
-	for i, s := range gcr {
-		i1 := m1.FS.Lookup(s)
-		i2 := m2.FS.Lookup(s)
+	diffs := make([]float64, len(gcr.sets))
+	for i := range gcr.sets {
 		var a1, a2 float64
-		if i1 >= 0 {
-			a1 = float64(m1.FS.Counts[i1])
+		if j := gcr.at1[i]; j >= 0 {
+			a1 = float64(m1.FS.Counts[j])
 		}
-		if i2 >= 0 {
-			a2 = float64(m2.FS.Counts[i2])
+		if j := gcr.at2[i]; j >= 0 {
+			a2 = float64(m2.FS.Counts[j])
 		}
 		diffs[i] = AbsoluteDiff(a1, a2, n1, n2)
 	}
@@ -115,16 +187,16 @@ func LitsUpperBound(m1, m2 *LitsModel, g AggFunc) float64 {
 // (zero when the itemset is not frequent in that model) — the quantity
 // delta* is built from; exposed for the examples and the CLI.
 func LitsSupports(m1, m2 *LitsModel) (gcr []apriori.Itemset, sup1, sup2 []float64) {
-	gcr = GCRItemsets(m1, m2)
-	sup1 = make([]float64, len(gcr))
-	sup2 = make([]float64, len(gcr))
-	for i, s := range gcr {
-		if j := m1.FS.Lookup(s); j >= 0 {
+	g := newLitsGCR(m1.FS, m2.FS)
+	sup1 = make([]float64, len(g.sets))
+	sup2 = make([]float64, len(g.sets))
+	for i := range g.sets {
+		if j := g.at1[i]; j >= 0 {
 			sup1[i] = m1.FS.Support(j)
 		}
-		if j := m2.FS.Lookup(s); j >= 0 {
+		if j := g.at2[i]; j >= 0 {
 			sup2[i] = m2.FS.Support(j)
 		}
 	}
-	return gcr, sup1, sup2
+	return g.sets, sup1, sup2
 }

@@ -72,12 +72,14 @@ type ModelClass[D, M any] interface {
 type replicateFunc func(rng *rand.Rand, n1, n2, blockN int, extension bool, f DiffFunc, g AggFunc) float64
 
 // bootstrapper is an optional fast path a ModelClass may implement:
-// newReplicate returns a replicateFunc that computes a bootstrap replicate
-// without materializing the resampled datasets (the lits class counts
-// through the pool's memoized vertical index with per-worker weighted
-// views), or ok=false to keep the generic Resample/Induce/MeasureGCR path.
-// The replicate values must be bit-identical to the generic path — same
-// RNG consumption, same integer counts, same float64 reduction.
+// newReplicate prepares the pool once and returns a replicateFunc that
+// skips the generic path's redundant work, or ok=false to keep the generic
+// Resample/Induce/MeasureGCR path. Two classes implement it: lits mines
+// weighted views over the pool's memoized vertical index and reuses the
+// mined supports for the GCR (class_lits.go); dt ranks the pool's numeric
+// attributes and grows replicate trees from the ranks (class_dt.go). The
+// replicate values must be bit-identical to the generic path — same RNG
+// consumption, same integer counts, same float64 reduction.
 type bootstrapper[D any] interface {
 	newReplicate(pool D, cfg *Config) (replicateFunc, bool)
 }

@@ -81,6 +81,16 @@ func (c Config) validate() error {
 // configuration must be valid. It returns the configuration with defaults
 // applied.
 func prepare(d *dataset.Dataset, cfg Config) (Config, error) {
+	cfg, err := prepareShape(d, cfg)
+	if err != nil {
+		return cfg, err
+	}
+	return cfg, checkFinite(d)
+}
+
+// prepareShape is prepare without the NaN scan, for samples of a dataset
+// whose Ranks already proved it NaN-free.
+func prepareShape(d *dataset.Dataset, cfg Config) (Config, error) {
 	if d.Schema.Class < 0 {
 		return cfg, errors.New("dtree: schema has no class attribute")
 	}
@@ -90,11 +100,7 @@ func prepare(d *dataset.Dataset, cfg Config) (Config, error) {
 	if err := cfg.validate(); err != nil {
 		return cfg, err
 	}
-	cfg = cfg.withDefaults()
-	if err := checkFinite(d); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg.withDefaults(), nil
 }
 
 // checkFinite rejects NaN attribute values. The file decoders never admit
@@ -159,11 +165,43 @@ func BuildP(d *dataset.Dataset, cfg Config, parallelism int) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(d, cfg, parallelism)
-	t := &Tree{Schema: d.Schema}
-	t.Root = e.grow(0, d.Len(), 0)
+	var r *Ranks
+	var rows []int32
+	if resolveSplitSearch(cfg.SplitSearch, d.Len()) == SplitSearchExact {
+		r = rankAttrs(d, parallelism)
+		rows = make([]int32, d.Len())
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+	}
+	return grow(newEngine(d, r, rows, cfg, parallelism)), nil
+}
+
+// BuildSample grows, bit for bit, the tree BuildP(sample, cfg, 1) grows,
+// for a sample drawn from a ranked dataset: row i of sample must be row
+// rows[i] of the dataset r ranks. The root attribute lists are counting
+// sorts over r, so a bootstrap that ranks its pool once sorts nothing per
+// replicate.
+func BuildSample(sample *dataset.Dataset, r *Ranks, rows []int32, cfg Config) (*Tree, error) {
+	cfg, err := prepareShape(sample, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) != sample.Len() {
+		return nil, fmt.Errorf("dtree: %d sample rows for a %d-tuple sample", len(rows), sample.Len())
+	}
+	if sample.Schema != r.schema && !sample.Schema.Equal(r.schema) {
+		return nil, errors.New("dtree: sample and ranks have different schemas")
+	}
+	return grow(newEngine(sample, r, rows, cfg, 1)), nil
+}
+
+// grow builds the whole tree of a prepared engine.
+func grow(e *engine) *Tree {
+	t := &Tree{Schema: e.data.Schema}
+	t.Root = e.grow(0, e.data.Len(), 0)
 	numberLeaves(t)
-	return t, nil
+	return t
 }
 
 // BuildNaive is the reference CART builder the fast engine is proven

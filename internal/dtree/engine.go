@@ -99,9 +99,10 @@ type engine struct {
 	hist *histIndex // hist mode only
 }
 
-// newEngine prepares the root state: presorted attribute lists in exact
-// mode, quantile bins in hist mode.
-func newEngine(d *dataset.Dataset, cfg Config, parallelism int) *engine {
+// newEngine prepares the root state of a build over d, whose row i is the
+// ranked dataset's row rows[i]: attribute lists from the ranks in exact
+// mode, quantile bins of d in hist mode (which ignores r and rows).
+func newEngine(d *dataset.Dataset, r *Ranks, rows []int32, cfg Config, parallelism int) *engine {
 	e := &engine{
 		data:  d,
 		cfg:   cfg,
@@ -110,21 +111,16 @@ func newEngine(d *dataset.Dataset, cfg Config, parallelism int) *engine {
 		mode:  resolveSplitSearch(cfg.SplitSearch, d.Len()),
 		class: d.Schema.Class,
 	}
-	var numeric []int
 	for a := range d.Schema.Attrs {
-		if a == e.class {
-			continue
-		}
-		e.splitAttrs = append(e.splitAttrs, a)
-		if d.Schema.Attrs[a].Kind == dataset.Numeric {
-			numeric = append(numeric, a)
+		if a != e.class {
+			e.splitAttrs = append(e.splitAttrs, a)
 		}
 	}
 	if e.mode == SplitSearchHist {
-		e.al = newAttrLists(d, nil, parallelism)
-		e.hist = newHistIndex(d, numeric, cfg.HistBins, parallelism)
+		e.al = newAttrLists(d.Len(), nil, nil, parallelism)
+		e.hist = newHistIndex(d, numericAttrs(d.Schema), cfg.HistBins, parallelism)
 	} else {
-		e.al = newAttrLists(d, numeric, parallelism)
+		e.al = newAttrLists(d.Len(), r, rows, parallelism)
 	}
 	return e
 }

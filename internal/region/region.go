@@ -178,6 +178,53 @@ func (b *Box) Intersect(o *Box) *Box {
 	return c
 }
 
+// Overlaps reports whether the intersection of two boxes over the same
+// schema is non-empty — Intersect(o) != nil, decided without building the
+// intersection.
+func (b *Box) Overlaps(o *Box) bool {
+	if b.schema != o.schema && !b.schema.Equal(o.schema) {
+		panic("region: intersecting boxes over different schemas")
+	}
+	for i := range b.schema.Attrs {
+		if b.schema.Attrs[i].Kind == dataset.Numeric {
+			lo, hi := b.Lo[i], b.Hi[i]
+			if o.Lo[i] > lo {
+				lo = o.Lo[i]
+			}
+			if o.Hi[i] < hi {
+				hi = o.Hi[i]
+			}
+			if lo >= hi {
+				return false
+			}
+			continue
+		}
+		bc, oc := b.Cats[i], o.Cats[i]
+		switch {
+		case oc == nil:
+			if bc != nil && !anyAllowed(bc) {
+				return false
+			}
+		case bc == nil:
+			if !anyAllowed(oc) {
+				return false
+			}
+		default:
+			both := false
+			for v := range bc {
+				if bc[v] && oc[v] {
+					both = true
+					break
+				}
+			}
+			if !both {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func anyAllowed(cs []bool) bool {
 	for _, ok := range cs {
 		if ok {

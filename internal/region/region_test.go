@@ -223,3 +223,59 @@ func TestIntersectPanicsAcrossSchemas(t *testing.T) {
 	}()
 	Full(testSchema()).Intersect(Full(other))
 }
+
+// Overlaps must decide exactly what Intersect decides. Bounds come from a
+// small grid so boxes often touch (Lo == Hi after intersecting), and
+// categorical constraints range over nil, all-false and random sets.
+func TestOverlapsMatchesIntersect(t *testing.T) {
+	s := dataset.NewClassSchema(3,
+		dataset.Attribute{Name: "x", Kind: dataset.Numeric, Min: 0, Max: 30},
+		dataset.Attribute{Name: "color", Kind: dataset.Categorical, Values: []string{"r", "g", "b"}},
+		dataset.Attribute{Name: "y", Kind: dataset.Numeric, Min: 0, Max: 30},
+		dataset.Attribute{Name: "class", Kind: dataset.Categorical, Values: []string{"A", "B"}},
+	)
+	grid := []float64{math.Inf(-1), 0, 10, 20, 30, math.Inf(1)}
+	rng := rand.New(rand.NewSource(41))
+	randomBox := func() *Box {
+		b := Full(s)
+		for i := range s.Attrs {
+			if s.Attrs[i].Kind == dataset.Numeric {
+				lo, hi := grid[rng.Intn(len(grid))], grid[rng.Intn(len(grid))]
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				b.Lo[i], b.Hi[i] = lo, hi
+				continue
+			}
+			switch rng.Intn(4) {
+			case 0: // nil: every value
+			case 1:
+				b.Cats[i] = make([]bool, s.Attrs[i].Cardinality())
+			default:
+				cs := make([]bool, s.Attrs[i].Cardinality())
+				for v := range cs {
+					cs[v] = rng.Intn(2) == 0
+				}
+				b.Cats[i] = cs
+			}
+		}
+		return b
+	}
+	var overlapping, touching int
+	for trial := 0; trial < 20000; trial++ {
+		a, b := randomBox(), randomBox()
+		want := a.Intersect(b) != nil
+		if got := a.Overlaps(b); got != want {
+			t.Fatalf("trial %d: Overlaps(%v, %v) = %v, Intersect non-nil = %v", trial, a, b, got, want)
+		}
+		if want {
+			overlapping++
+		}
+		if a.Hi[0] == b.Lo[0] || a.Lo[0] == b.Hi[0] {
+			touching++
+		}
+	}
+	if overlapping == 0 || overlapping == 20000 || touching == 0 {
+		t.Fatalf("degenerate trials: %d overlapping, %d touching", overlapping, touching)
+	}
+}

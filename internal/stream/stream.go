@@ -181,10 +181,12 @@ func (m *Monitor[D, M]) ingest(epoch int64, batch D) (*Report, error) {
 	if epoch < m.epoch {
 		return nil, fmt.Errorf("stream: epoch %d regresses below %d", epoch, m.epoch)
 	}
-	m.epoch = epoch
+	// A batch the window rejects leaves the monitor untouched, epoch
+	// included. Errors after Add still keep the batch (see ROADMAP item 1).
 	if err := m.live.Add(batch, m.opts.Parallelism); err != nil {
 		return nil, err
 	}
+	m.epoch = epoch
 	m.liveModelOK = false
 	m.epochs = append(m.epochs, epoch)
 	m.batches = append(m.batches, batch)

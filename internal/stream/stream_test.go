@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -564,6 +565,30 @@ func TestMonitorEpochRegressionError(t *testing.T) {
 	}
 	if _, err := mon.IngestEpoch(4, &txn.Dataset{NumItems: 20, Txns: batches[1]}); err == nil {
 		t.Fatal("regressing epoch did not error")
+	}
+}
+
+// A batch the window rejects must leave the monitor untouched: the epoch
+// it carried is not consumed, so a later, lower epoch is still accepted.
+func TestMonitorRejectedBatchKeepsEpoch(t *testing.T) {
+	batches := randTxnBatches(82, 3, 10, 4, 3)
+	mon, err := New(core.Lits(0.2), concatTxns(4, batches, []int{0}), Options{WindowBatches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mon.IngestEpoch(1, &txn.Dataset{NumItems: 4, Txns: batches[1]}); err != nil {
+		t.Fatal(err)
+	}
+	before := mon.ExportState()
+	wide := &txn.Dataset{NumItems: 9, Txns: batches[2]}
+	if _, err := mon.IngestEpoch(5, wide); err == nil || !strings.Contains(err.Error(), "universe") {
+		t.Fatalf("a batch over a different universe: err = %v, want a universe mismatch", err)
+	}
+	if after := mon.ExportState(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected batch changed the monitor state:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if _, err := mon.IngestEpoch(2, &txn.Dataset{NumItems: 4, Txns: batches[2]}); err != nil {
+		t.Fatalf("valid batch after a rejected one: %v", err)
 	}
 }
 
