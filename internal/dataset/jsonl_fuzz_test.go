@@ -1,6 +1,7 @@
 package dataset_test
 
 import (
+	"bufio"
 	"bytes"
 	"reflect"
 	"strings"
@@ -10,8 +11,9 @@ import (
 )
 
 // FuzzJSONLSource fuzzes the JSON Lines decoder against the same small
-// fixed schema as FuzzReadCSV. The oracle: ReadJSONL never panics; when it
-// succeeds, the dataset satisfies Validate (no NaN/Inf, no out-of-domain
+// fixed schema as FuzzReadCSV. The oracle: ReadJSONL never panics, accepts
+// exactly what the encoding/json row decode accepted line by line, with
+// bit-identical tuples; when it succeeds, the dataset satisfies Validate (no NaN/Inf, no out-of-domain
 // values, no missing or extra attributes slip through) and survives a
 // WriteJSONL/ReadJSONL round trip unchanged (numeric values are written
 // with full precision, categorical values by name).
@@ -34,11 +36,23 @@ func FuzzJSONLSource(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	// The row quirks of the differential scanner fuzz, one row per line.
+	for _, seed := range tupleRowSeeds {
+		row, _ := strings.CutPrefix(seed, "[")
+		f.Add(strings.TrimSuffix(row, "]") + "\n" + `{"x":2,"color":"green","class":"B"}`)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		s := fuzzSchema()
 		d, err := dataset.ReadJSONL(strings.NewReader(in), s)
+		want, werr := oracleReadJSONL(in, s)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ReadJSONL err %v, oracle err %v\ninput: %q", err, werr, in)
+		}
 		if err != nil {
 			return
+		}
+		if !sameTuples(d.Tuples, want) {
+			t.Fatalf("ReadJSONL = %v, oracle %v\ninput: %q", d.Tuples, want, in)
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("ReadJSONL accepted a dataset that fails Validate: %v\ninput: %q", err, in)
@@ -55,4 +69,23 @@ func FuzzJSONLSource(f *testing.F) {
 			t.Fatalf("JSONL round trip changed the dataset\ninput: %q", in)
 		}
 	})
+}
+
+// oracleReadJSONL reads JSON Lines as the encoding/json row decode did:
+// one row per non-blank line.
+func oracleReadJSONL(in string, s *dataset.Schema) ([]dataset.Tuple, error) {
+	sc := bufio.NewScanner(strings.NewReader(in))
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	var out []dataset.Tuple
+	for sc.Scan() {
+		if strings.Trim(sc.Text(), " \t\r\n") == "" {
+			continue
+		}
+		t, err := oracleDecodeRow(s, sc.Bytes())
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, sc.Err()
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -158,6 +157,7 @@ type JSONLSource struct {
 	sc     *bufio.Scanner
 	schema *Schema
 	dec    *TupleDecoder
+	spans  []valueSpan // per-row value scratch of dec
 	line   int
 	err    error
 }
@@ -166,7 +166,7 @@ type JSONLSource struct {
 func NewJSONLSource(r io.Reader, s *Schema) *JSONLSource {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	return &JSONLSource{sc: sc, schema: s, dec: NewTupleDecoder(s)}
+	return &JSONLSource{sc: sc, schema: s, dec: NewTupleDecoder(s), spans: make([]valueSpan, len(s.Attrs))}
 }
 
 // Next returns the next batch of up to SourceBatchRows tuples, io.EOF after
@@ -200,7 +200,7 @@ func (src *JSONLSource) Next(ctx context.Context) (*Dataset, error) {
 		}
 		t := Tuple(arena[:width:width])
 		arena = arena[width:]
-		if err := src.dec.decodeInto(text, t); err != nil {
+		if err := src.dec.decodeRow(text, t, src.spans); err != nil {
 			src.err = fmt.Errorf("dataset: JSONL line %d: %w", src.line, err)
 			return nil, src.err
 		}
@@ -222,139 +222,4 @@ func trimSpace(b []byte) []byte {
 		hi--
 	}
 	return b[lo:hi]
-}
-
-// TupleDecoder decodes JSON row objects into validated tuples on one
-// schema, with the per-attribute categorical decode tables built once —
-// the hot-path form of UnmarshalTupleJSON for row streams (JSONLSource,
-// the focusd batch endpoints). A TupleDecoder is safe for concurrent use.
-type TupleDecoder struct {
-	schema *Schema
-	decode []map[string]float64 // per-attribute categorical decode tables
-}
-
-// NewTupleDecoder builds a row decoder on schema s.
-func NewTupleDecoder(s *Schema) *TupleDecoder {
-	decode := make([]map[string]float64, len(s.Attrs))
-	for i := range s.Attrs {
-		if s.Attrs[i].Kind == Categorical {
-			m := make(map[string]float64, len(s.Attrs[i].Values))
-			for j, v := range s.Attrs[i].Values {
-				m[v] = float64(j)
-			}
-			decode[i] = m
-		}
-	}
-	return &TupleDecoder{schema: s, decode: decode}
-}
-
-// Decode decodes one JSON object mapping attribute names to values into a
-// validated tuple: numeric attributes take finite JSON numbers inside
-// their domain, categorical attributes take their value names as JSON
-// strings. Every attribute of the schema must be present and no other keys
-// are allowed.
-func (td *TupleDecoder) Decode(data []byte) (Tuple, error) {
-	t := make(Tuple, len(td.schema.Attrs))
-	if err := td.decodeInto(data, t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// decodeInto decodes one JSON row object into t, which must have one slot
-// per schema attribute (row streams carve t out of a batch arena).
-func (td *TupleDecoder) decodeInto(data []byte, t Tuple) error {
-	s := td.schema
-	var row map[string]json.RawMessage
-	if err := json.Unmarshal(data, &row); err != nil {
-		return err
-	}
-	for j := range s.Attrs {
-		a := &s.Attrs[j]
-		raw, ok := row[a.Name]
-		if !ok {
-			return fmt.Errorf("missing attribute %q", a.Name)
-		}
-		if m := td.decode[j]; m != nil {
-			var name string
-			if err := json.Unmarshal(raw, &name); err != nil {
-				return fmt.Errorf("attribute %q: %w", a.Name, err)
-			}
-			v, ok := m[name]
-			if !ok {
-				return fmt.Errorf("unknown value %q for attribute %q", name, a.Name)
-			}
-			t[j] = v
-			continue
-		}
-		var v float64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return fmt.Errorf("attribute %q: %w", a.Name, err)
-		}
-		// JSON numbers cannot encode NaN/Inf, but guard anyway so the
-		// validated-output invariant never depends on the decoder.
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("attribute %q: value is not finite", a.Name)
-		}
-		if !a.Contains(v) {
-			return fmt.Errorf("attribute %q: value %v outside domain", a.Name, v)
-		}
-		t[j] = v
-	}
-	if len(row) != len(s.Attrs) {
-		for name := range row {
-			if s.AttrIndex(name) < 0 {
-				return fmt.Errorf("unknown attribute %q", name)
-			}
-		}
-	}
-	return nil
-}
-
-// UnmarshalTupleJSON decodes one JSON row object into a validated tuple on
-// s. For row streams, build a TupleDecoder once instead.
-func UnmarshalTupleJSON(s *Schema, data []byte) (Tuple, error) {
-	return NewTupleDecoder(s).Decode(data)
-}
-
-// WriteJSONL writes the dataset as JSON Lines in the format JSONLSource
-// reads: one object per tuple with attributes in schema order, categorical
-// values written by name and numeric values with full float64 precision.
-func (d *Dataset) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for i, t := range d.Tuples {
-		buf = buf[:0]
-		buf = append(buf, '{')
-		for j, v := range t {
-			a := &d.Schema.Attrs[j]
-			if j > 0 {
-				buf = append(buf, ',')
-			}
-			name, err := json.Marshal(a.Name)
-			if err != nil {
-				return err
-			}
-			buf = append(buf, name...)
-			buf = append(buf, ':')
-			if a.Kind == Categorical {
-				iv := int(v)
-				if iv < 0 || iv >= len(a.Values) {
-					return fmt.Errorf("dataset: tuple %d: categorical value %v outside domain of %q", i, v, a.Name)
-				}
-				val, err := json.Marshal(a.Values[iv])
-				if err != nil {
-					return err
-				}
-				buf = append(buf, val...)
-			} else {
-				buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-			}
-		}
-		buf = append(buf, '}', '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"focus/internal/dataset"
@@ -97,10 +98,58 @@ type monitorStateJSON struct {
 	RefRows json.RawMessage   `json:"ref_rows,omitempty"`
 }
 
-// walRecord is one logged feed, exactly the fields of the feed request.
-type walRecord struct {
-	Epoch *int64          `json:"epoch,omitempty"`
-	Rows  json.RawMessage `json:"rows"`
+// A WAL record is one logged feed, framed as the JSON object
+// {"epoch":N,"rows":<rows>} ("epoch" omitted when the feed had none) with
+// the rows verbatim from the request. The envelope is the one encoding/json
+// wrote for these two fields, so logs from before the framing replay as
+// they are; a record that is not in this exact form is corrupt.
+const (
+	walEpochKey = `{"epoch":`
+	walRowsKey  = `"rows":`
+)
+
+// appendWALRecord frames one feed as a WAL record.
+func appendWALRecord(buf []byte, epoch *int64, rows []byte) []byte {
+	if epoch != nil {
+		buf = append(buf, walEpochKey...)
+		buf = strconv.AppendInt(buf, *epoch, 10)
+		buf = append(buf, ',')
+	} else {
+		buf = append(buf, '{')
+	}
+	buf = append(buf, walRowsKey...)
+	if len(rows) == 0 {
+		buf = append(buf, "null"...)
+	}
+	buf = append(buf, rows...)
+	return append(buf, '}')
+}
+
+// parseWALRecord splits a record appendWALRecord framed back into the
+// feed's epoch and rows. The rows are not checked here: the intake path
+// decodes them as it decoded the original feed.
+func parseWALRecord(rec []byte) (epoch *int64, rows []byte, err error) {
+	rest, ok := bytes.CutPrefix(rec, []byte(walEpochKey))
+	if ok {
+		i := bytes.IndexByte(rest, ',')
+		if i < 0 {
+			return nil, nil, fmt.Errorf("malformed record envelope")
+		}
+		v, perr := strconv.ParseInt(string(rest[:i]), 10, 64)
+		// Only the canonical spelling of the epoch is a record: no sign,
+		// leading zeros or spaces that ParseInt would let through.
+		if perr != nil || strconv.FormatInt(v, 10) != string(rest[:i]) {
+			return nil, nil, fmt.Errorf("malformed record epoch %q", rest[:i])
+		}
+		epoch, rest = &v, rest[i+1:]
+	} else if rest, ok = bytes.CutPrefix(rec, []byte{'{'}); !ok {
+		return nil, nil, fmt.Errorf("malformed record envelope")
+	}
+	rest, ok = bytes.CutPrefix(rest, []byte(walRowsKey))
+	if !ok || len(rest) < 2 || rest[len(rest)-1] != '}' {
+		return nil, nil, fmt.Errorf("malformed record envelope")
+	}
+	return epoch, rest[:len(rest)-1], nil
 }
 
 // OpenRegistry opens (initializing if empty) a durable registry rooted at
@@ -179,9 +228,9 @@ func (r *Registry) restoreSession(dir string) error {
 		return fmt.Errorf("opening wal: %w", err)
 	}
 	for i, rec := range recs {
-		var wr walRecord
-		if err := json.Unmarshal(rec, &wr); err != nil {
-			// Undecodable payloads cannot have been written by appendFeed;
+		epoch, rows, err := parseWALRecord(rec)
+		if err != nil {
+			// Unparsable payloads cannot have been written by appendFeed;
 			// treat like wal corruption: stop replaying.
 			w.Close()
 			return fmt.Errorf("wal record %d: %w", i, err)
@@ -190,7 +239,7 @@ func (r *Registry) restoreSession(dir string) error {
 		// failed identically when it was first fed (the WAL is written
 		// before ingestion), so a replay failure re-establishes, not
 		// diverges from, the pre-crash state.
-		s.feedLocked(wr.Epoch, wr.Rows) //nolint:errcheck
+		s.feedLocked(epoch, rows) //nolint:errcheck
 	}
 	removeStaleWALs(dir, snap.WALGen)
 	s.store = &sessionStore{
@@ -281,10 +330,7 @@ func (ss *sessionStore) appendFeed(epoch *int64, rows json.RawMessage) error {
 	if ss.w == nil {
 		return fmt.Errorf("wal unavailable")
 	}
-	rec, err := json.Marshal(walRecord{Epoch: epoch, Rows: rows})
-	if err != nil {
-		return err
-	}
+	rec := appendWALRecord(make([]byte, 0, len(rows)+len(walEpochKey)+len(walRowsKey)+24), epoch, rows)
 	if err := ss.w.Append(rec); err != nil {
 		return err
 	}
@@ -442,22 +488,5 @@ func encodeTxnRows(d *txn.Dataset) (json.RawMessage, error) {
 // WriteJSONL — categorical values by name, numeric values at full float64
 // precision — so tupleRowDecoder reads it back bit-identically.
 func encodeTupleRows(d *dataset.Dataset) (json.RawMessage, error) {
-	var b bytes.Buffer
-	if err := d.WriteJSONL(&b); err != nil {
-		return nil, err
-	}
-	lines := bytes.Split(bytes.TrimRight(b.Bytes(), "\n"), []byte{'\n'})
-	out := make([]byte, 0, b.Len()+len(lines)+2)
-	out = append(out, '[')
-	for i, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = append(out, line...)
-	}
-	out = append(out, ']')
-	return out, nil
+	return d.AppendJSONRows(nil)
 }

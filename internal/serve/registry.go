@@ -418,6 +418,9 @@ func bindLits(s *Session, cfg *SessionConfig) error {
 	if cfg.NumItems < 1 {
 		return badRequest("lits session requires num_items >= 1")
 	}
+	if err := txn.CheckUniverse(cfg.NumItems); err != nil {
+		return badRequest(err.Error())
+	}
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 		return badRequest("lits session requires min_support in (0, 1]")
 	}

@@ -166,6 +166,10 @@ func TestCreateSessionValidation(t *testing.T) {
 		{"lits missing universe", `{"name": "m", "model": "lits", "min_support": 0.1, "reference": [[0]]}`, 400},
 		{"lits bad support", `{"name": "m", "model": "lits", "num_items": 5, "min_support": 2, "reference": [[0]]}`, 400},
 		{"lits item outside universe", `{"name": "m", "model": "lits", "num_items": 5, "min_support": 0.1, "reference": [[9]]}`, 400},
+		// A universe past the int32 item ids is refused before anything is
+		// sized by it; an id past 1<<31-1 would otherwise wrap into it.
+		{"lits universe past item ids", `{"name": "m", "model": "lits", "num_items": 3000000000, "min_support": 0.1, "reference": [[2147483648]]}`, 400},
+		{"lits universe one past item ids", `{"name": "m", "model": "lits", "num_items": 2147483649, "min_support": 0.1, "reference": [[0]]}`, 400},
 		{"lits counter bitmap", litsSessionCounter("ok-bitmap", "bitmap"), 201},
 		{"lits counter trie", litsSessionCounter("ok-trie", "trie"), 201},
 		{"lits bad counter", litsSessionCounter("m", "btree"), 400},

@@ -3,8 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"sync"
 
 	"focus/internal/dataset"
+	"focus/internal/jsonscan"
 	"focus/internal/stream"
 	"focus/internal/txn"
 )
@@ -221,40 +224,156 @@ type errorResponse struct {
 // tables built once per session, not per request.
 func tupleRowDecoder(s *dataset.Schema) func(json.RawMessage) (*dataset.Dataset, error) {
 	td := dataset.NewTupleDecoder(s)
-	return func(raw json.RawMessage) (*dataset.Dataset, error) {
-		var rows []json.RawMessage
-		if err := json.Unmarshal(raw, &rows); err != nil {
-			return nil, fmt.Errorf("rows must be an array of objects: %w", err)
-		}
-		d := dataset.New(s)
-		for i, r := range rows {
-			t, err := td.Decode(r)
-			if err != nil {
-				return nil, fmt.Errorf("row %d: %w", i, err)
-			}
-			d.Tuples = append(d.Tuples, t)
-		}
-		return d, nil
-	}
+	return func(raw json.RawMessage) (*dataset.Dataset, error) { return td.DecodeRows(raw) }
 }
 
+// txnScratch is the per-call scratch of decodeTxnRows: the batch's items,
+// each row normalized in place, and each row's end offset into items.
+type txnScratch struct {
+	items []txn.Item
+	ends  []int
+}
+
+// txnScratchPool recycles decodeTxnRows scratch, so a batch allocates only
+// its exactly sized item storage.
+var txnScratchPool = sync.Pool{New: func() any { return new(txnScratch) }}
+
+// maxPooledItems bounds the scratch returned to the pool.
+const maxPooledItems = 1 << 16
+
 // decodeTxnRows decodes an array of item-id arrays into a transaction batch
-// over numItems items.
-func decodeTxnRows(numItems int, raw json.RawMessage) (*txn.Dataset, error) {
-	var rows [][]int64
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		return nil, fmt.Errorf("rows must be an array of item-id arrays: %w", err)
-	}
+// over numItems items in one pass over raw. It accepts exactly what
+// encoding/json unmarshalling into [][]int64 accepts (the oracle of the
+// differential fuzz FuzzDecodeTxnRows), followed by a range check of every
+// item: ids parse with strconv.ParseInt (so 1.0 and 1e2 are
+// not ids), a null id is item 0, a null row is an empty transaction, and a
+// top-level null is an empty batch. A syntax error outranks a non-integer
+// id, which outranks an id outside the universe.
+func decodeTxnRows(numItems int, raw []byte) (*txn.Dataset, error) {
+	const shape = "rows must be an array of item-id arrays"
+	syntax := func(err error) (*txn.Dataset, error) { return nil, fmt.Errorf("%s: %w", shape, err) }
+	sc := jsonscan.New(raw)
 	d := txn.New(numItems)
-	for i, row := range rows {
-		t := make(txn.Transaction, 0, len(row))
-		for _, v := range row {
-			if v < 0 || v >= int64(numItems) {
-				return nil, fmt.Errorf("row %d: item %d outside universe [0,%d)", i, v, numItems)
-			}
-			t = append(t, txn.Item(v))
+	switch c := sc.Peek(); c {
+	case 'n':
+		if err := sc.Literal("null"); err != nil {
+			return syntax(err)
 		}
-		d.Txns = append(d.Txns, t.Normalize())
+		if err := sc.End(); err != nil {
+			return syntax(err)
+		}
+		return d, nil
+	case '[':
+		sc.Consume('[')
+	default:
+		if err := jsonscan.Valid(raw); err != nil {
+			return syntax(err)
+		}
+		return nil, fmt.Errorf("%s, not %s", shape, jsonscan.Kind(c))
+	}
+	buf := txnScratchPool.Get().(*txnScratch)
+	items, ends := buf.items[:0], buf.ends[:0]
+	defer func() {
+		if cap(items) <= maxPooledItems && cap(ends) <= maxPooledItems {
+			buf.items, buf.ends = items[:0], ends[:0]
+			txnScratchPool.Put(buf)
+		}
+	}()
+	// The first non-integer id and the first id outside the universe are
+	// kept while the scan goes on: a later syntax error outranks both.
+	var typeErr, rangeErr error
+	if !sc.Consume(']') {
+		for row := 0; ; row++ {
+			lo := len(items)
+			switch c := sc.Peek(); c {
+			case 'n':
+				if err := sc.Literal("null"); err != nil {
+					return syntax(err)
+				}
+			case '[':
+				sc.Consume('[')
+				if sc.Consume(']') {
+					break
+				}
+				for {
+					var v int64
+					switch c := sc.Peek(); {
+					case c == 'n':
+						if err := sc.Literal("null"); err != nil {
+							return syntax(err)
+						}
+					case c == '-' || c >= '0' && c <= '9':
+						tok, err := sc.Number()
+						if err != nil {
+							return syntax(err)
+						}
+						if v, err = strconv.ParseInt(string(tok), 10, 64); err != nil {
+							if typeErr == nil {
+								typeErr = fmt.Errorf("%s: row %d: number %s is not an item id", shape, row, tok)
+							}
+							v = 0
+						}
+					default:
+						if err := sc.Skip(2); err != nil {
+							return syntax(err)
+						}
+						if typeErr == nil {
+							typeErr = fmt.Errorf("%s: row %d: cannot decode %s as an item id", shape, row, jsonscan.Kind(c))
+						}
+					}
+					// Range-check before the Item conversion: a value past
+					// int32 would otherwise wrap silently into the universe.
+					if (v < 0 || v >= int64(numItems)) && rangeErr == nil {
+						rangeErr = fmt.Errorf("row %d: item %d outside universe [0,%d)", row, v, numItems)
+					}
+					items = append(items, txn.Item(v))
+					if sc.Consume(',') {
+						continue
+					}
+					if sc.Consume(']') {
+						break
+					}
+					return syntax(sc.Fail("after array element"))
+				}
+			default:
+				if err := sc.Skip(1); err != nil {
+					return syntax(err)
+				}
+				if typeErr == nil {
+					typeErr = fmt.Errorf("%s: row %d: cannot decode %s as an item-id array", shape, row, jsonscan.Kind(c))
+				}
+			}
+			items = items[:lo+len(txn.Transaction(items[lo:]).Normalize())]
+			ends = append(ends, len(items))
+			if sc.Consume(',') {
+				continue
+			}
+			if sc.Consume(']') {
+				break
+			}
+			return syntax(sc.Fail("after array element"))
+		}
+	}
+	if err := sc.End(); err != nil {
+		return syntax(err)
+	}
+	if typeErr != nil {
+		return nil, typeErr
+	}
+	if rangeErr != nil {
+		return nil, rangeErr
+	}
+	// One exactly sized block holds every transaction: window batches
+	// retain their storage, so slack would outlive the request.
+	if len(ends) > 0 {
+		store := make([]txn.Item, len(items))
+		copy(store, items)
+		d.Txns = make([]txn.Transaction, len(ends))
+		lo := 0
+		for i, hi := range ends {
+			d.Txns[i] = store[lo:hi:hi]
+			lo = hi
+		}
 	}
 	return d, nil
 }

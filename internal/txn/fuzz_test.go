@@ -87,3 +87,32 @@ func TestReadRejectsItemOverflow(t *testing.T) {
 		t.Fatal("negative item did not error")
 	}
 }
+
+func TestReadRejectsUniversePastItemIDs(t *testing.T) {
+	// Items are int32 ids: with a universe of 3e9, item 2147483648 passed
+	// the range check and wrapped to -2147483648. The header is refused
+	// before anything is sized by it.
+	for _, in := range []string{"3000000000\n2147483648\n", "2147483649\n"} {
+		if _, err := txn.Read(strings.NewReader(in)); err == nil {
+			t.Fatalf("universe %q did not error", strings.SplitN(in, "\n", 2)[0])
+		}
+	}
+	// The largest universe still reads; its last id is the largest Item.
+	d, err := txn.Read(strings.NewReader("2147483648\n2147483647 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NumItems != 1<<31 || len(d.Txns) != 1 || d.Txns[0][1] != 1<<31-1 {
+		t.Fatalf("read %d items, txns %v", d.NumItems, d.Txns)
+	}
+	for _, n := range []int{-1, 1<<31 + 1} {
+		if txn.CheckUniverse(n) == nil {
+			t.Fatalf("CheckUniverse(%d) accepted", n)
+		}
+	}
+	for _, n := range []int{0, 1, 1 << 31} {
+		if err := txn.CheckUniverse(n); err != nil {
+			t.Fatalf("CheckUniverse(%d): %v", n, err)
+		}
+	}
+}

@@ -49,10 +49,11 @@ func (src *Source) header() error {
 	if err != nil {
 		return fmt.Errorf("txn: parsing universe size: %w", err)
 	}
-	if numItems < 0 {
-		// A negative universe would slip through Validate on an empty
-		// dataset and panic later in counter allocations.
-		return fmt.Errorf("txn: negative universe size %d", numItems)
+	// A negative universe would slip through Validate on an empty dataset
+	// and panic later in counter allocations; one past the Item range would
+	// wrap ids into the universe.
+	if err := CheckUniverse(numItems); err != nil {
+		return err
 	}
 	src.numItems = numItems
 	src.line = 2

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -24,6 +25,23 @@ import (
 // Item identifies one item of the universe I; items are dense integers in
 // [0, NumItems).
 type Item = int32
+
+// maxUniverse is the largest item universe: item ids are int32 values in
+// [0, NumItems), so a larger universe would wrap ids past 1<<31-1.
+const maxUniverse = 1 << 31
+
+// CheckUniverse rejects a universe size that is negative or holds more
+// items than there are Item ids. Check a size read from input before
+// anything is allocated by it.
+func CheckUniverse(numItems int) error {
+	if numItems < 0 {
+		return fmt.Errorf("txn: negative universe size %d", numItems)
+	}
+	if int64(numItems) > maxUniverse {
+		return fmt.Errorf("txn: universe size %d exceeds %d, the number of item ids", numItems, int64(maxUniverse))
+	}
+	return nil
+}
 
 // Transaction is a set of items, stored sorted ascending without duplicates.
 type Transaction []Item
@@ -53,7 +71,7 @@ func (t Transaction) ContainsAll(s []Item) bool {
 // Normalize sorts the transaction and removes duplicate items, returning the
 // (possibly shortened) transaction.
 func (t Transaction) Normalize() Transaction {
-	sort.Slice(t, func(i, j int) bool { return t[i] < t[j] })
+	slices.Sort(t)
 	out := t[:0]
 	for i, x := range t {
 		if i == 0 || x != t[i-1] {
