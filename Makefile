@@ -48,7 +48,8 @@ apicheck:
 # run if any of the headline pairs ever drops out of the trajectory: the
 # counting and mining backend pairs, the vertical-engine end-to-end wins
 # (Fig7 curves, lits and dt bootstrap qualification), the ingestion-path pair, the
-# incremental-vs-rebuild monitor pair, and the fleet serving-latency
+# incremental-vs-rebuild monitor pair, the durable restart
+# (BenchmarkOpenRegistry), and the fleet serving-latency
 # percentiles focusload measures through a self-hosted 3-member router
 # (cmd/focusload -selfhost emits them in go-bench format). -order
 # additionally pins the relationships those entries exist for: the
@@ -64,7 +65,7 @@ apicheck:
 # the analyzers run in `make ci` and the focuslint CI job, and keeping them
 # out of bench keeps benchmark wall time a pure measurement of the code
 # under test.
-BENCH_REQUIRE := BenchmarkCountTrie,BenchmarkCountBitmap,BenchmarkMineTrie,BenchmarkMineVertical,BenchmarkFig7LitsSDvsSF,BenchmarkQualifyLits,BenchmarkQualifyDT,BenchmarkPump/source,BenchmarkPump/readcsv,BenchmarkLitsMonitorIncremental,BenchmarkLitsRebuildFromScratch,BenchmarkFleetCreateP50,BenchmarkFleetCreateP99,BenchmarkFleetFeedP50,BenchmarkFleetFeedP95,BenchmarkFleetFeedP99,BenchmarkDTreeBuildNaive,BenchmarkDTreeBuildFast
+BENCH_REQUIRE := BenchmarkCountTrie,BenchmarkCountBitmap,BenchmarkMineTrie,BenchmarkMineVertical,BenchmarkFig7LitsSDvsSF,BenchmarkQualifyLits,BenchmarkQualifyDT,BenchmarkPump/source,BenchmarkPump/readcsv,BenchmarkLitsMonitorIncremental,BenchmarkLitsRebuildFromScratch,BenchmarkFleetCreateP50,BenchmarkFleetCreateP99,BenchmarkFleetFeedP50,BenchmarkFleetFeedP95,BenchmarkFleetFeedP99,BenchmarkDTreeBuildNaive,BenchmarkDTreeBuildFast,BenchmarkOpenRegistry
 BENCH_ORDER := "BenchmarkLitsMonitorIncremental<=BenchmarkLitsRebuildFromScratch,BenchmarkFleetFeedP50<=BenchmarkFleetFeedP95,BenchmarkFleetFeedP95<=BenchmarkFleetFeedP99,BenchmarkDTreeBuildFast<=BenchmarkDTreeBuildNaive"
 bench:
 	go test -run XXX -bench . -benchmem -benchtime 1x ./... | tee bench.out

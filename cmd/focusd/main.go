@@ -7,11 +7,11 @@
 //	focusd -addr 127.0.0.1:8080
 //
 // With -data DIR sessions are durable: each session writes a snapshot of
-// its create-time configuration and logs every fed batch to a per-session
-// write-ahead log before ingesting it, compacting the log into a fresh
-// snapshot of window state and reports every -compact-every batches. On
-// restart focusd restores every session by replaying snapshot-then-WAL,
-// reproducing the exact pre-crash state and report stream — deviation
+// its create-time configuration and logs every decoded batch to a
+// per-session write-ahead log before ingesting it, compacting the log into
+// a fresh snapshot of window state and reports every -compact-every
+// batches. On restart focusd restores every session by replaying
+// snapshot-then-WAL, on -parallelism workers, reproducing the exact pre-crash state and report stream — deviation
 // reports are deterministic in the fed batches, including bootstrap
 // qualification, whose RNG stream is seeded per report. Without -data the
 // registry is purely in-memory, exactly as before.
@@ -58,7 +58,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("focusd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use port 0 for an ephemeral port)")
-	par := fs.Int("parallelism", 0, "worker count for scans and bootstrap (0 = GOMAXPROCS, 1 = serial)")
+	par := fs.Int("parallelism", 0, "worker count for scans, bootstrap and session restore (0 = GOMAXPROCS, 1 = serial)")
 	dataDir := fs.String("data", "", "data directory for durable sessions (empty = in-memory only)")
 	compactEvery := fs.Int("compact-every", serve.DefaultCompactEvery,
 		"WAL records per session before compacting into a fresh snapshot")

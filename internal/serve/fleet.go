@@ -207,11 +207,11 @@ func (s *Session) Export(drain bool) (*SessionExport, error) {
 //lint:holds mu
 func (s *Session) configLocked() (json.RawMessage, error) {
 	if s.store != nil {
-		snap, err := s.store.readSnapshot()
+		cfg, err := s.store.readConfig()
 		if err != nil {
 			return nil, fmt.Errorf("reading session snapshot: %w", err)
 		}
-		return snap.Config, nil
+		return cfg, nil
 	}
 	if len(s.cfgRaw) == 0 {
 		return nil, &statusError{code: http.StatusConflict, msg: fmt.Sprintf("session %q retains no config; it cannot be exported", s.name)}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,9 +10,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
-	"focus/internal/dataset"
-	"focus/internal/txn"
+	"focus/internal/jsonscan"
+	"focus/internal/parallel"
 	"focus/internal/wal"
 )
 
@@ -25,14 +28,17 @@ import (
 //
 // A session's durable state is always (snapshot, WAL generation named by
 // the snapshot): Create writes a config-only snapshot and an empty
-// generation-1 WAL; every Feed appends its batch to the WAL before
-// ingestion; compaction reseals the accumulated WAL into a new snapshot
-// carrying the monitor's window state and the report ring, pointing at the
-// next WAL generation. Recovery rebuilds the session from the snapshot
-// (bind from config, reinstate window state) and replays the snapshot's
-// WAL generation through the normal intake path — deterministic, so the
-// restored session's State and Reports are bit-identical to an
-// uninterrupted run.
+// generation-1 WAL; every Feed decodes its rows and appends the decoded
+// batch to the WAL, in the binary record form below, before ingestion;
+// compaction reseals the accumulated WAL into a new snapshot carrying the
+// monitor's window state and the report ring, pointing at the next WAL
+// generation. Recovery rebuilds the session from the snapshot (bind from
+// config, reinstate window state) and replays the snapshot's WAL
+// generation through the same intake step a feed ends in, with no text
+// parse — deterministic, so the restored session's State and Reports are
+// bit-identical to an uninterrupted run. OpenRegistry restores sessions on
+// a pool of parallel.Default() workers; each session restores on its own,
+// so the result does not depend on the worker count.
 //
 // Crash windows resolve by the write order. The new WAL generation is
 // created before the snapshot naming it is renamed into place, and the old
@@ -75,7 +81,9 @@ type sessionStore struct {
 // snapshotJSON is the on-disk snapshot: the session's create config
 // (verbatim, so the model class is rebuilt deterministically) and — once a
 // compaction has run — the monitor window state and report ring at the
-// point the WAL was resealed.
+// point the WAL was resealed. json.Marshal writes the fields in this
+// order, so the config comes before the window state (snapshotConfig
+// relies on it).
 type snapshotJSON struct {
 	Version int `json:"version"`
 	// WALGen names the WAL generation holding the feeds after this
@@ -88,6 +96,14 @@ type snapshotJSON struct {
 	Last    *ReportJSON       `json:"last,omitempty"`
 }
 
+// restoredSnapshot is a snapshot as restore reads it: the config decoded
+// in the same pass as the rest (the outer Config shadows the embedded raw
+// one).
+type restoredSnapshot struct {
+	snapshotJSON
+	Config SessionConfig `json:"config"`
+}
+
 // monitorStateJSON is the wire form of stream.MonitorState: window batches
 // as row payloads in the session's own rows format.
 type monitorStateJSON struct {
@@ -98,36 +114,57 @@ type monitorStateJSON struct {
 	RefRows json.RawMessage   `json:"ref_rows,omitempty"`
 }
 
-// A WAL record is one logged feed, framed as the JSON object
-// {"epoch":N,"rows":<rows>} ("epoch" omitted when the feed had none) with
-// the rows verbatim from the request. The envelope is the one encoding/json
-// wrote for these two fields, so logs from before the framing replay as
-// they are; a record that is not in this exact form is corrupt.
+// A WAL record is one logged feed: the batch Feed decoded, so replay hands
+// it straight to the intake. Its binary form is
+//
+//	tag    walTuples or walTxns, plus walHasEpoch when the feed had an epoch
+//	epoch  a zigzag varint, present with walHasEpoch
+//	batch  the rest: dataset.(*Dataset).AppendBinaryRows or
+//	       txn.(*Dataset).AppendBinaryRows, values and ids exact
+//
+// No tag is '{'. Logs written before batches were logged decoded hold the
+// JSON object {"epoch":N,"rows":<rows>} ("epoch" omitted when the feed had
+// none): framed from the request bytes, or written by json.Marshal in
+// older logs still. parseWALRecord reads that envelope, and the rows take
+// the decode a live feed takes.
 const (
+	walTuples   byte = 0x01
+	walTxns     byte = 0x02
+	walHasEpoch byte = 0x80
+
 	walEpochKey = `{"epoch":`
 	walRowsKey  = `"rows":`
 )
 
-// appendWALRecord frames one feed as a WAL record.
-func appendWALRecord(buf []byte, epoch *int64, rows []byte) []byte {
-	if epoch != nil {
-		buf = append(buf, walEpochKey...)
-		buf = strconv.AppendInt(buf, *epoch, 10)
-		buf = append(buf, ',')
-	} else {
-		buf = append(buf, '{')
+// appendRecordHeader appends a binary record's tag and epoch to buf.
+func appendRecordHeader(buf []byte, tag byte, epoch *int64) []byte {
+	if epoch == nil {
+		return append(buf, tag)
 	}
-	buf = append(buf, walRowsKey...)
-	if len(rows) == 0 {
-		buf = append(buf, "null"...)
-	}
-	buf = append(buf, rows...)
-	return append(buf, '}')
+	return binary.AppendVarint(append(buf, tag|walHasEpoch), *epoch)
 }
 
-// parseWALRecord splits a record appendWALRecord framed back into the
-// feed's epoch and rows. The rows are not checked here: the intake path
-// decodes them as it decoded the original feed.
+// parseRecordHeader splits a binary record of the given tag into its epoch
+// and batch bytes.
+func parseRecordHeader(rec []byte, tag byte) (epoch *int64, body []byte, err error) {
+	if len(rec) == 0 || rec[0]&^walHasEpoch != tag {
+		return nil, nil, fmt.Errorf("malformed record tag")
+	}
+	if rec[0]&walHasEpoch == 0 {
+		return nil, rec[1:], nil
+	}
+	v, k := binary.Varint(rec[1:])
+	// Only the shortest encoding is a record, so a record re-encodes to its
+	// own bytes.
+	if k <= 0 || k > 1 && rec[k] == 0 {
+		return nil, nil, fmt.Errorf("malformed record epoch")
+	}
+	return &v, rec[1+k:], nil
+}
+
+// parseWALRecord splits a record of an older log back into the feed's
+// epoch and rows. The rows are not checked here: replay decodes them as
+// the original feed decoded them.
 func parseWALRecord(rec []byte) (epoch *int64, rows []byte, err error) {
 	rest, ok := bytes.CutPrefix(rec, []byte(walEpochKey))
 	if ok {
@@ -152,13 +189,38 @@ func parseWALRecord(rec []byte) (epoch *int64, rows []byte, err error) {
 	return epoch, rest[:len(rest)-1], nil
 }
 
+// readWALRecord reads one record of any form back into the feed it
+// logged. ok is false for a record of an older log whose rows did not
+// decode: those logs were written before the decode, so the feed failed
+// when it was fed and is skipped now. An error marks a corrupt record.
+func (s *Session) readWALRecord(rec []byte) (epoch *int64, b batch, ok bool, err error) {
+	if len(rec) == 0 || rec[0] != '{' {
+		epoch, b, err = s.readRecord(rec)
+		return epoch, b, err == nil, err
+	}
+	epoch, rows, err := parseWALRecord(rec)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if b, err = s.decode(rows); err != nil {
+		return epoch, nil, false, nil
+	}
+	return epoch, b, true, nil
+}
+
 // OpenRegistry opens (initializing if empty) a durable registry rooted at
 // dir, restoring every persisted session by rebuilding it from its
 // snapshot and replaying its WAL. compactEvery is the per-session WAL
 // record count that triggers compaction (<= 0 uses DefaultCompactEvery).
 // Sessions that fail to restore are skipped — their files are left on disk
-// for inspection — and reported in warnings; the registry itself opens as
-// long as the directory is usable.
+// for inspection — and reported in warnings, in session name order; the
+// registry itself opens as long as the directory is usable.
+//
+// Sessions restore on a pool of parallel.Default() workers. Each worker
+// claims the next session from a shared counter, so cheap sessions and
+// costly ones (a dt session grows its pinned tree) spread evenly over the
+// pool. A session restores from its own directory alone, so the restored
+// state is the same for every worker count.
 func OpenRegistry(dir string, compactEvery int) (r *Registry, warnings []error, err error) {
 	if compactEvery <= 0 {
 		compactEvery = DefaultCompactEvery
@@ -173,73 +235,99 @@ func OpenRegistry(dir string, compactEvery int) (r *Registry, warnings []error, 
 	if err != nil {
 		return nil, nil, err
 	}
-	// Deterministic restore order (ReadDir sorts, but make it explicit).
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name() < entries[j].Name() })
+	var names []string
 	for _, e := range entries {
-		if !e.IsDir() {
+		if e.IsDir() {
+			names = append(names, e.Name())
+		}
+	}
+	// Deterministic publication order (ReadDir sorts, but make it explicit).
+	sort.Strings(names)
+	sessions := make([]*Session, len(names))
+	errs := make([]error, len(names))
+	var next atomic.Int64
+	restore := func() {
+		for i := int(next.Add(1) - 1); i < len(names); i = int(next.Add(1) - 1) {
+			sessions[i], errs[i] = r.restoreSession(filepath.Join(root, names[i]))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(parallel.Default(), len(names)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			restore()
+		}()
+	}
+	restore()
+	wg.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, name := range names {
+		if errs[i] != nil {
+			warnings = append(warnings, fmt.Errorf("session %q: %w", name, errs[i]))
 			continue
 		}
-		if err := r.restoreSession(filepath.Join(root, e.Name())); err != nil {
-			warnings = append(warnings, fmt.Errorf("session %q: %w", e.Name(), err))
-		}
+		r.sessions[name] = sessions[i]
 	}
 	return r, warnings, nil
 }
 
-// restoreSession rebuilds one session from its directory and publishes it.
-func (r *Registry) restoreSession(dir string) error {
+// restoreSession rebuilds one session from its directory, ready to
+// publish.
+func (r *Registry) restoreSession(dir string) (*Session, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
-		return fmt.Errorf("reading snapshot: %w", err)
+		return nil, fmt.Errorf("reading snapshot: %w", err)
 	}
-	var snap snapshotJSON
+	var snap restoredSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+		return nil, fmt.Errorf("decoding snapshot: %w", err)
 	}
 	if snap.Version != snapshotVersion {
-		return fmt.Errorf("snapshot version %d not supported", snap.Version)
+		return nil, fmt.Errorf("snapshot version %d not supported", snap.Version)
 	}
-	var cfg SessionConfig
-	if err := json.Unmarshal(snap.Config, &cfg); err != nil {
-		return fmt.Errorf("decoding session config: %w", err)
-	}
+	cfg := snap.Config
 	if err := validName(cfg.Name); err != nil {
-		return err
+		return nil, err
 	}
 	if cfg.Name != filepath.Base(dir) {
-		return fmt.Errorf("snapshot names session %q", cfg.Name)
+		return nil, fmt.Errorf("snapshot names session %q", cfg.Name)
 	}
 
 	s, err := r.bind(cfg)
 	if err != nil {
-		return fmt.Errorf("rebinding: %w", err)
+		return nil, fmt.Errorf("rebinding: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if snap.Monitor != nil {
 		if err := s.restoreMonitor(snap.Monitor); err != nil {
-			return fmt.Errorf("restoring window state: %w", err)
+			return nil, fmt.Errorf("restoring window state: %w", err)
 		}
 	}
 	s.reports, s.alerts, s.last = snap.Reports, snap.Alerts, snap.Last
 
 	w, recs, err := wal.Open(walPath(dir, snap.WALGen))
 	if err != nil {
-		return fmt.Errorf("opening wal: %w", err)
+		return nil, fmt.Errorf("opening wal: %w", err)
 	}
 	for i, rec := range recs {
-		epoch, rows, err := parseWALRecord(rec)
+		epoch, b, ok, err := s.readWALRecord(rec)
 		if err != nil {
-			// Unparsable payloads cannot have been written by appendFeed;
-			// treat like wal corruption: stop replaying.
+			// appendFeed cannot have written it; treat like wal
+			// corruption: stop replaying.
 			w.Close()
-			return fmt.Errorf("wal record %d: %w", i, err)
+			return nil, fmt.Errorf("wal record %d: %w", i, err)
 		}
-		// Replay through the normal intake path. A record that fails here
+		if !ok {
+			continue
+		}
+		// Replay through the normal intake step. A record that fails here
 		// failed identically when it was first fed (the WAL is written
 		// before ingestion), so a replay failure re-establishes, not
 		// diverges from, the pre-crash state.
-		s.feedLocked(epoch, rows) //nolint:errcheck
+		s.feedLocked(epoch, b) //nolint:errcheck
 	}
 	removeStaleWALs(dir, snap.WALGen)
 	s.store = &sessionStore{
@@ -254,11 +342,7 @@ func (r *Registry) restoreSession(dir string) error {
 	if s.store.shouldCompact() {
 		s.compactLocked()
 	}
-
-	r.mu.Lock()
-	r.sessions[cfg.Name] = s
-	r.mu.Unlock()
-	return nil
+	return s, nil
 }
 
 // sessionDir is the directory of one session's durable state.
@@ -303,19 +387,56 @@ func (st *Store) createFromSnapshot(name string, snap *snapshotJSON) (*sessionSt
 	return &sessionStore{dir: dir, gen: snap.WALGen, w: w, compactEvery: st.compactEvery}, nil
 }
 
-// readSnapshot reads the session's current on-disk snapshot.
+// readConfig reads the session's create config back from its on-disk
+// snapshot, as the raw bytes create wrote.
 //
 //lint:holds Session.mu
-func (ss *sessionStore) readSnapshot() (*snapshotJSON, error) {
+func (ss *sessionStore) readConfig() (json.RawMessage, error) {
 	raw, err := os.ReadFile(filepath.Join(ss.dir, snapshotFile))
 	if err != nil {
 		return nil, err
 	}
-	var snap snapshotJSON
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, err
+	return snapshotConfig(raw)
+}
+
+// snapshotConfig cuts the raw "config" value out of a snapshot's bytes
+// without decoding the rest. json.Marshal wrote the key as it is spelt
+// here and before the window state and report ring, so the scan stops
+// at it.
+func snapshotConfig(raw []byte) (json.RawMessage, error) {
+	sc := jsonscan.New(raw)
+	if !sc.Consume('{') {
+		return nil, fmt.Errorf("snapshot is not a JSON object")
 	}
-	return &snap, nil
+	if !sc.Consume('}') {
+		for {
+			key, _, err := sc.String()
+			if err != nil {
+				return nil, err
+			}
+			if !sc.Consume(':') {
+				return nil, sc.Fail("after object key")
+			}
+			if string(key) == `"config"` {
+				val, _, err := sc.Value(1)
+				if err != nil {
+					return nil, err
+				}
+				return val, nil
+			}
+			if err := sc.Skip(1); err != nil {
+				return nil, err
+			}
+			if sc.Consume(',') {
+				continue
+			}
+			if sc.Consume('}') {
+				break
+			}
+			return nil, sc.Fail("after object key:value pair")
+		}
+	}
+	return nil, fmt.Errorf("snapshot holds no config")
 }
 
 // remove deletes the named session's durable state.
@@ -323,14 +444,13 @@ func (st *Store) remove(name string) {
 	os.RemoveAll(st.sessionDir(name))
 }
 
-// appendFeed logs one feed ahead of its ingestion.
+// appendFeed logs one feed's record ahead of its ingestion.
 //
 //lint:holds Session.mu
-func (ss *sessionStore) appendFeed(epoch *int64, rows json.RawMessage) error {
+func (ss *sessionStore) appendFeed(rec []byte) error {
 	if ss.w == nil {
 		return fmt.Errorf("wal unavailable")
 	}
-	rec := appendWALRecord(make([]byte, 0, len(rows)+len(walEpochKey)+len(walRowsKey)+24), epoch, rows)
 	if err := ss.w.Append(rec); err != nil {
 		return err
 	}
@@ -369,12 +489,8 @@ func (s *Session) compactLocked() {
 	}
 	// The config travels snapshot-to-snapshot as raw bytes rather than
 	// being pinned in memory for the session's lifetime.
-	prevRaw, err := os.ReadFile(filepath.Join(ss.dir, snapshotFile))
+	cfg, err := ss.readConfig()
 	if err != nil {
-		return
-	}
-	var prev snapshotJSON
-	if err := json.Unmarshal(prevRaw, &prev); err != nil {
 		return
 	}
 	newGen := ss.gen + 1
@@ -398,7 +514,7 @@ func (s *Session) compactLocked() {
 	snap := snapshotJSON{
 		Version: snapshotVersion,
 		WALGen:  newGen,
-		Config:  prev.Config,
+		Config:  cfg,
 		Monitor: ms,
 		Reports: s.reports,
 		Alerts:  s.alerts,
@@ -471,22 +587,4 @@ func removeStaleWALs(dir string, keep uint64) {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
-}
-
-// encodeTxnRows renders a transaction batch in the lits rows wire format
-// ([[id, ...], ...]); decodeTxnRows reads it back bit-identically (the
-// retained transactions are already normalized).
-func encodeTxnRows(d *txn.Dataset) (json.RawMessage, error) {
-	if len(d.Txns) == 0 {
-		return json.RawMessage("[]"), nil
-	}
-	return json.Marshal(d.Txns)
-}
-
-// encodeTupleRows renders a tuple batch in the dt/cluster rows wire format
-// ([{attr: value, ...}, ...]) using the exact per-row rendering of
-// WriteJSONL — categorical values by name, numeric values at full float64
-// precision — so tupleRowDecoder reads it back bit-identically.
-func encodeTupleRows(d *dataset.Dataset) (json.RawMessage, error) {
-	return d.AppendJSONRows(nil)
 }

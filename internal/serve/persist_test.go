@@ -465,3 +465,58 @@ func TestClosedSessionHandle(t *testing.T) {
 		t.Fatal("reports of deleted session succeeded")
 	}
 }
+
+// snapshotConfigBytes reads the raw config value of a session's snapshot.
+func snapshotConfigBytes(t *testing.T, dir, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "sessions", name, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return string(snap["config"])
+}
+
+// TestCompactionKeepsConfigBytes pins that the config a session was
+// created with travels unchanged: compaction carries the bytes create
+// wrote into each new snapshot, and Export ships the same bytes.
+func TestCompactionKeepsConfigBytes(t *testing.T) {
+	for _, k := range durableKinds() {
+		t.Run(k.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r, _, err := serve.OpenRegistry(dir, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			cfg := parseConfig(t, k.cfg)
+			s, err := r.Create(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrote := snapshotConfigBytes(t, dir, cfg.Name)
+			if want, _ := json.Marshal(&cfg); wrote != string(want) {
+				t.Fatalf("create wrote config %s, want %s", wrote, want)
+			}
+			for i := 0; i < 5; i++ {
+				feedKind(t, s, k, i)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "sessions", cfg.Name, "wal.000003.log")); err != nil {
+				t.Fatalf("two compactions expected: %v", err)
+			}
+			if got := snapshotConfigBytes(t, dir, cfg.Name); got != wrote {
+				t.Fatalf("compacted config %s, create wrote %s", got, wrote)
+			}
+			exp, err := s.Export(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(exp.Config) != wrote {
+				t.Fatalf("exported config %s, create wrote %s", exp.Config, wrote)
+			}
+		})
+	}
+}

@@ -81,8 +81,13 @@ type Session struct {
 	// read the config back from their on-disk snapshot instead (pinning it
 	// here too would hold a second copy of the reference rows for the
 	// session's lifetime). Guarded by mu.
-	cfgRaw  json.RawMessage
-	ingest  func(epoch *int64, rows json.RawMessage) (*stream.Report, error)
+	cfgRaw json.RawMessage
+	// decode turns wire rows into a batch of the session's model class (a
+	// 400 when they do not decode or hold no row); ingest advances the
+	// monitor with a decoded batch. Feed runs decode, logs the batch, then
+	// ingests it; WAL replay ingests the logged batch directly.
+	decode  func(rows json.RawMessage) (batch, error)
+	ingest  func(epoch *int64, b batch) (*stream.Report, error)
 	state   func() (epoch int64, batches, n, reports int)
 	last    *ReportJSON  // guarded by mu
 	reports []ReportJSON // ring of recent emissions, oldest first; guarded by mu
@@ -94,7 +99,15 @@ type Session struct {
 	// its JSON snapshot form; bindSession installs them per model class.
 	exportMonitor  func() (*monitorStateJSON, error)
 	restoreMonitor func(*monitorStateJSON) error
+	// appendRecord frames a decoded feed as a binary WAL record;
+	// readRecord reads one back (see persist.go for the format).
+	appendRecord func(buf []byte, epoch *int64, b batch) []byte
+	readRecord   func(rec []byte) (epoch *int64, b batch, err error)
 }
+
+// batch is one decoded batch of a session's model class: a *txn.Dataset
+// for lits sessions, a *dataset.Dataset for dt and cluster sessions.
+type batch = any
 
 // Name returns the session name.
 func (s *Session) Name() string { return s.name }
@@ -331,12 +344,22 @@ func monitorConfig(cfg *SessionConfig) (core.Config, error) {
 	}, nil
 }
 
+// rowCodec is a model class's batch codecs: decode and encode are the
+// JSON rows of the wire and of snapshots (encode's rows decode back to a
+// bit-identical batch), appendBinary and decodeBinary the binary form of
+// WAL records, logged under tag.
+type rowCodec[D any] struct {
+	tag          byte
+	decode       func(json.RawMessage) (D, error)
+	encode       func(D) (json.RawMessage, error)
+	appendBinary func([]byte, D) []byte
+	decodeBinary func([]byte) (D, error)
+}
+
 // bindSession wires a monitor of any model class into the session's
-// dynamically-typed intake, state and persistence closures — the one
-// generic-to-JSON boundary of the serving layer. decode turns wire rows
-// into a batch; encode is its inverse (rows that decode back to a
-// bit-identical batch), used to snapshot window state during compaction.
-func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef bool, mcfg core.Config, decode func(json.RawMessage) (D, error), encode func(D) (json.RawMessage, error)) error {
+// dynamically typed intake, state and persistence closures — the one
+// generic-to-JSON boundary of the serving layer.
+func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef bool, mcfg core.Config, codec rowCodec[D]) error {
 	if !hasRef && !mcfg.PreviousWindow {
 		return badRequest("reference rows required unless previous_window is set")
 	}
@@ -347,29 +370,49 @@ func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef b
 	if err != nil {
 		return badRequest(err.Error())
 	}
-	s.ingest = func(epoch *int64, rows json.RawMessage) (*stream.Report, error) {
-		batch, err := decode(rows)
+	s.decode = func(rows json.RawMessage) (batch, error) {
+		b, err := codec.decode(rows)
 		if err != nil {
 			return nil, badRequest(err.Error())
 		}
 		// An empty batch would read as maximal drift (every region's window
 		// measure 0); a heartbeat or buggy producer gets a 400, not an
 		// alert.
-		if mc.Len(batch) == 0 {
+		if mc.Len(b) == 0 {
 			return nil, badRequest("rows must hold at least one row")
 		}
+		return b, nil
+	}
+	s.ingest = func(epoch *int64, b batch) (*stream.Report, error) {
+		var rep *stream.Report
+		var err error
 		if epoch != nil {
-			rep, err := mon.IngestEpoch(*epoch, batch)
-			if err != nil {
-				return nil, badRequest(err.Error())
-			}
-			return rep, nil
+			rep, err = mon.IngestEpoch(*epoch, b.(D))
+		} else {
+			rep, err = mon.Ingest(b.(D))
 		}
-		rep, err := mon.Ingest(batch)
 		if err != nil {
 			return nil, badRequest(err.Error())
 		}
 		return rep, nil
+	}
+	s.appendRecord = func(buf []byte, epoch *int64, b batch) []byte {
+		return codec.appendBinary(appendRecordHeader(buf, codec.tag, epoch), b.(D))
+	}
+	s.readRecord = func(rec []byte) (*int64, batch, error) {
+		epoch, body, err := parseRecordHeader(rec, codec.tag)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := codec.decodeBinary(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Feed never logs an empty batch.
+		if mc.Len(b) == 0 {
+			return nil, nil, fmt.Errorf("record holds no row")
+		}
+		return epoch, b, nil
 	}
 	s.state = func() (int64, int, int, int) {
 		return mon.Epoch(), mon.WindowBatches(), mon.WindowN(), mon.Reports()
@@ -378,14 +421,14 @@ func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef b
 		st := mon.ExportState()
 		out := &monitorStateJSON{Epoch: st.Epoch, Seq: st.Seq, Epochs: st.Epochs}
 		for _, b := range st.Batches {
-			raw, err := encode(b)
+			raw, err := codec.encode(b)
 			if err != nil {
 				return nil, err
 			}
 			out.Batches = append(out.Batches, raw)
 		}
 		if st.RefPromoted {
-			raw, err := encode(st.RefData)
+			raw, err := codec.encode(st.RefData)
 			if err != nil {
 				return nil, err
 			}
@@ -396,14 +439,14 @@ func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef b
 	s.restoreMonitor = func(ms *monitorStateJSON) error {
 		st := stream.MonitorState[D]{Epoch: ms.Epoch, Seq: ms.Seq, Epochs: ms.Epochs}
 		for i, raw := range ms.Batches {
-			b, err := decode(raw)
+			b, err := codec.decode(raw)
 			if err != nil {
 				return fmt.Errorf("window batch %d: %w", i, err)
 			}
 			st.Batches = append(st.Batches, b)
 		}
 		if len(ms.RefRows) > 0 {
-			d, err := decode(ms.RefRows)
+			d, err := codec.decode(ms.RefRows)
 			if err != nil {
 				return fmt.Errorf("reference window: %w", err)
 			}
@@ -435,17 +478,14 @@ func bindLits(s *Session, cfg *SessionConfig) error {
 	// Capture only the universe size: closing over cfg would pin the whole
 	// create payload (including the raw Reference bytes) for the session's
 	// lifetime.
-	numItems := cfg.NumItems
-	decode := func(raw json.RawMessage) (*txn.Dataset, error) {
-		return decodeTxnRows(numItems, raw)
-	}
+	codec := txnCodec(cfg.NumItems)
 	var ref *txn.Dataset
 	if len(cfg.Reference) > 0 {
-		if ref, err = decode(cfg.Reference); err != nil {
+		if ref, err = codec.decode(cfg.Reference); err != nil {
 			return badRequest(fmt.Sprintf("reference: %v", err))
 		}
 	}
-	return bindSession(s, core.LitsWithCounter(cfg.MinSupport, counter), ref, ref != nil, mcfg, decode, encodeTxnRows)
+	return bindSession(s, core.LitsWithCounter(cfg.MinSupport, counter), ref, ref != nil, mcfg, codec)
 }
 
 func bindDT(s *Session, cfg *SessionConfig) error {
@@ -460,11 +500,11 @@ func bindDT(s *Session, cfg *SessionConfig) error {
 	if err != nil {
 		return err
 	}
-	decode := tupleRowDecoder(schema)
+	codec := tupleCodec(schema)
 	if len(cfg.Reference) == 0 {
 		return badRequest("dt session requires reference rows (the pinned tree is grown from them)")
 	}
-	ref, err := decode(cfg.Reference)
+	ref, err := codec.decode(cfg.Reference)
 	if err != nil {
 		return badRequest(fmt.Sprintf("reference: %v", err))
 	}
@@ -481,7 +521,7 @@ func bindDT(s *Session, cfg *SessionConfig) error {
 	if err != nil {
 		return badRequest(fmt.Sprintf("growing pinned tree: %v", err))
 	}
-	return bindSession(s, core.PinnedDT(tree), ref, true, mcfg, decode, encodeTupleRows)
+	return bindSession(s, core.PinnedDT(tree), ref, true, mcfg, codec)
 }
 
 func bindCluster(s *Session, cfg *SessionConfig) error {
@@ -512,23 +552,25 @@ func bindCluster(s *Session, cfg *SessionConfig) error {
 	if err != nil {
 		return err
 	}
-	decode := tupleRowDecoder(schema)
+	codec := tupleCodec(schema)
 	var ref *dataset.Dataset
 	if len(cfg.Reference) > 0 {
-		if ref, err = decode(cfg.Reference); err != nil {
+		if ref, err = codec.decode(cfg.Reference); err != nil {
 			return badRequest(fmt.Sprintf("reference: %v", err))
 		}
 	}
-	return bindSession(s, core.Cluster(grid, cfg.MinDensity), ref, ref != nil, mcfg, decode, encodeTupleRows)
+	return bindSession(s, core.Cluster(grid, cfg.MinDensity), ref, ref != nil, mcfg, codec)
 }
 
 // Feed ingests one batch into the session and returns the emitted report
 // (nil when the window policy suppresses emission). Feeds are serialized
-// per session, so retained reports appear in emission order. In a durable
-// session the batch is appended to the write-ahead log before ingestion —
-// a crash after the acknowledgement can always replay it — and the WAL is
-// compacted into a fresh snapshot once the replay debt crosses the
-// registry's threshold. A deleted session answers 404.
+// per session, so retained reports appear in emission order. The rows are
+// decoded first, so a batch that does not decode answers 400 and leaves
+// no trace. In a durable session the decoded batch is then appended to the
+// write-ahead log before ingestion — a crash after the acknowledgement can
+// always replay it — and the WAL is compacted into a fresh snapshot once
+// the replay debt crosses the registry's threshold. A deleted session
+// answers 404.
 //
 //lint:wal-before-ingest
 func (s *Session) Feed(epoch *int64, rows json.RawMessage) (*ReportJSON, error) {
@@ -540,12 +582,16 @@ func (s *Session) Feed(epoch *int64, rows json.RawMessage) (*ReportJSON, error) 
 	if s.draining {
 		return nil, drainingError(fmt.Sprintf("session %q is draining for migration", s.name))
 	}
+	b, err := s.decode(rows)
+	if err != nil {
+		return nil, err
+	}
 	if s.store != nil {
-		if err := s.store.appendFeed(epoch, rows); err != nil {
+		if err := s.store.appendFeed(s.appendRecord(nil, epoch, b)); err != nil {
 			return nil, fmt.Errorf("persisting batch: %w", err)
 		}
 	}
-	rj, err := s.feedLocked(epoch, rows)
+	rj, err := s.feedLocked(epoch, b)
 	if err != nil {
 		return nil, err
 	}
@@ -559,11 +605,11 @@ func (s *Session) Feed(epoch *int64, rows json.RawMessage) (*ReportJSON, error) 
 }
 
 // feedLocked runs the intake and report-ring update shared by Feed and WAL
-// replay; callers hold s.mu.
+// replay on a decoded batch; callers hold s.mu.
 //
 //lint:holds mu
-func (s *Session) feedLocked(epoch *int64, rows json.RawMessage) (*ReportJSON, error) {
-	rep, err := s.ingest(epoch, rows)
+func (s *Session) feedLocked(epoch *int64, b batch) (*ReportJSON, error) {
+	rep, err := s.ingest(epoch, b)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -161,6 +162,25 @@ func TestDecodeTxnRowsConcurrent(t *testing.T) {
 type marshalWALRecord struct {
 	Epoch *int64          `json:"epoch,omitempty"`
 	Rows  json.RawMessage `json:"rows"`
+}
+
+// appendWALRecord frames one feed as the text record logs held before
+// batches were logged decoded: {"epoch":N,"rows":<rows>} around the rows
+// verbatim from the request.
+func appendWALRecord(buf []byte, epoch *int64, rows []byte) []byte {
+	if epoch != nil {
+		buf = append(buf, walEpochKey...)
+		buf = strconv.AppendInt(buf, *epoch, 10)
+		buf = append(buf, ',')
+	} else {
+		buf = append(buf, '{')
+	}
+	buf = append(buf, walRowsKey...)
+	if len(rows) == 0 {
+		buf = append(buf, "null"...)
+	}
+	buf = append(buf, rows...)
+	return append(buf, '}')
 }
 
 // TestWALRecordFraming pins the record envelope: a framed record parses
