@@ -141,7 +141,7 @@ func (e *Engine) Mine(minSupport float64) (*FrequentSet, error) {
 	}
 	if resolveMiner(e.counter, e.d, freq) == MinerVertical {
 		ix := verticalIndexWith(e.d, e.parallelism, e.pass1)
-		return mineVertical(e.d, ix, nil, ix.itemCounts, ix.n, minSupport, e.parallelism)
+		return mineVertical(e.d, ix, ix.itemCounts, ix.n, minSupport, e.parallelism)
 	}
 	return MineFrom(e, minSupport)
 }

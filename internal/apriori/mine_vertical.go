@@ -10,7 +10,7 @@ import (
 // over the TID-bitmap index (Zaki, TKDE 2000), with the dEclat diffset
 // refinement at deeper levels. A node of the search is a prefix itemset P
 // with its transaction set t(P); extending P by item y intersects bitsets
-// (support = weighted popcount), so mining never generates candidate lists
+// (support = popcount), so mining never generates candidate lists
 // or walks transactions. At shallow levels nodes carry tidsets and
 // support(P∪{y}) = |t(P) ∩ t(y)|; from diffsetLevel on they carry diffsets
 // relative to their parent — d(Py) = t(P) \ t(y) — and support(P∪{y}) =
@@ -21,15 +21,15 @@ import (
 // bit for bit — the equivalence the differential harness in
 // mine_diff_test.go pins down.
 //
-// The same walk runs multiplicity-weighted for bootstrap views: bit t then
-// counts mult[t] instead of 1, which turns popcounts into bitset.Weight*
-// sums and nothing else — see view.go.
+// Bootstrap replicates run the same walk: a replicate view gives every
+// drawn copy of a transaction its own bit, so its bitmaps are a vertical
+// index of the resample itself — see view.go.
 
 // diffsetLevel is the itemset size from which miner nodes switch from
 // tidsets to parent-relative diffsets. Sizes 1 and 2 stay on tidsets (the
 // per-item index bitsets and their pairwise intersections); deeper prefixes
 // are dense in their parent's tids, so the complement is the cheaper set to
-// carry and to weigh.
+// carry and to count.
 const diffsetLevel = 3
 
 // vnode is one extension of the current prefix P: the itemset P∪{item}
@@ -41,39 +41,39 @@ type vnode struct {
 	count int
 }
 
-// pairTable holds the supports of every ordered pair of frequent items
-// (root ranks i < j), counted horizontally in one pass over the
-// transactions. Intersecting bitsets for all O(roots²) candidate pairs
-// costs O(roots² × words) regardless of how few pairs are frequent;
-// counting pairs inside each transaction costs O(Σ |frequent items of t|²)
-// — far less on sparse data — and lets the DFS materialize a bitset only
-// for pairs that pass the threshold. Counts are exact integers either way,
-// so the output is unchanged.
+// pairTable holds the supports of item pairs as a triangle whose row a
+// lists the pairs (a, b) for b > a. Its keys are the frequent items' root
+// ranks (a mine's own table) or, when byItem, the item ids of the whole
+// universe (the WindowMiner's aggregate). Intersecting bitsets for all
+// O(roots²) candidate pairs costs O(roots² × words) regardless of how few
+// pairs are frequent; counting pairs inside each transaction costs
+// O(Σ |frequent items of t|²) — far less on sparse data — and lets the DFS
+// materialize a bitset only for pairs that pass the threshold. Counts are
+// exact integers either way, so the output is unchanged.
 type pairTable struct {
-	r      int
-	counts []int32 // triangular, row i holding pairs (i, i+1..r-1)
+	side   int     // keys are 0..side-1
+	byItem bool    // keys are item ids, not root ranks
+	counts []int32 // triangular: row a at base(a), pair (a, b) at base(a)+b-a-1
 	rank   []int32 // item -> root rank, -1 if infrequent
 	buf    []int32 // per-transaction frequent-rank scratch
 }
 
-// base returns the offset of row i: pairs (i, j) live at base(i) + j-i-1.
-func (pt *pairTable) base(i int) int { return i * (2*pt.r - i - 1) / 2 }
+// base returns the offset of row a.
+func (pt *pairTable) base(a int) int { return a * (2*pt.side - a - 1) / 2 }
 
-// at returns the support of the pair of root ranks i < j.
-func (pt *pairTable) at(i, j int) int { return int(pt.counts[pt.base(i)+j-i-1]) }
-
-// reset sizes the table for r roots over numItems items, reusing buffers.
-func (pt *pairTable) reset(r, numItems int) {
-	pt.r = r
-	need := r * (r - 1) / 2
-	if cap(pt.counts) < need {
-		pt.counts = make([]int32, need)
-	} else {
-		pt.counts = pt.counts[:need]
-		for i := range pt.counts {
-			pt.counts[i] = 0
-		}
+// key returns root i's key: its item id when byItem, else its rank.
+func (pt *pairTable) key(roots []vnode, i int) int {
+	if pt.byItem {
+		return int(roots[i].item)
 	}
+	return i
+}
+
+// reset sizes the table for the ranks of roots over numItems items,
+// reusing buffers, and ranks the roots.
+func (pt *pairTable) reset(roots []vnode, numItems int) {
+	pt.side = len(roots)
+	pt.counts = resized(pt.counts, pt.side*(pt.side-1)/2)
 	if cap(pt.rank) < numItems {
 		pt.rank = make([]int32, numItems)
 	} else {
@@ -82,25 +82,42 @@ func (pt *pairTable) reset(r, numItems int) {
 	for i := range pt.rank {
 		pt.rank[i] = -1
 	}
-}
-
-// countPairs fills the table with the (weighted) supports of all frequent
-// pairs of d. mult nil counts every transaction once; non-nil weighs row t
-// by mult[t]. Transactions are sorted-unique (txn.Dataset's validated
-// form), and root items ascend, so the collected ranks ascend too.
-func (pt *pairTable) countPairs(d *txn.Dataset, mult []int32, roots []vnode) {
-	pt.reset(len(roots), d.NumItems)
 	for i, x := range roots {
 		pt.rank[x.item] = int32(i)
 	}
-	for t, tr := range d.Txns {
-		w := int32(1)
-		if mult != nil {
-			w = mult[t]
-			if w == 0 {
-				continue
-			}
+}
+
+// resized returns s resized to n zeroed elements, reusing its array when
+// it is big enough and otherwise allocating a quarter more than n, so a
+// buffer whose size varies a little between reuses (a bootstrap view's
+// bitmaps and pair table) stops reallocating after a few replicates.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// add counts the pairs of one transaction, given by the ascending keys of
+// its frequent items, with the given sign.
+func (pt *pairTable) add(keys []int32, sign int32) {
+	for a := 0; a+1 < len(keys); a++ {
+		ia := int(keys[a])
+		row := pt.counts[pt.base(ia):] // pair (ia, b) at row[b-ia-1]
+		for _, b := range keys[a+1:] {
+			row[int(b)-ia-1] += sign
 		}
+	}
+}
+
+// countPairs fills the table with the supports of all pairs of roots in
+// d. Transactions are sorted-unique (txn.Dataset's validated form), and
+// root items ascend, so the collected ranks ascend too.
+func (pt *pairTable) countPairs(d *txn.Dataset, roots []vnode) {
+	pt.reset(roots, d.NumItems)
+	for _, tr := range d.Txns {
 		buf := pt.buf[:0]
 		for _, it := range tr {
 			if ri := pt.rank[it]; ri >= 0 {
@@ -108,43 +125,35 @@ func (pt *pairTable) countPairs(d *txn.Dataset, mult []int32, roots []vnode) {
 			}
 		}
 		pt.buf = buf
-		for a := 0; a+1 < len(buf); a++ {
-			ia := int(buf[a])
-			off := pt.base(ia) - ia - 1 // pair (ia, j) lives at off + j
-			for _, jb := range buf[a+1:] {
-				pt.counts[off+int(jb)] += w
-			}
-		}
+		pt.add(buf, 1)
 	}
 }
 
 // vminer is one worker's reusable state for a vertical DFS mine: a scratch
 // bitset pool, per-depth extension buffers, the growing prefix, and the
 // output accumulators. Reset makes it reusable across mines (bootstrap
-// replicates); a vminer is not safe for concurrent use. pairCount, when
-// set, serves the support of the root pair (i, j) from a horizontally
-// counted table instead of a bitset intersection.
+// replicates); a vminer is not safe for concurrent use. pairs serves the
+// supports of the root-level pairs.
 type vminer struct {
-	mult      []int32 // nil: unweighted (popcount); else per-tid weights
-	minCount  int
-	pool      *bitset.Pool
-	pairCount func(i, j int) int
-	levels    [][]vnode
-	cur       Itemset
-	its       []Itemset
-	counts    []int
+	minCount int
+	pool     *bitset.Pool
+	pairs    *pairTable
+	levels   [][]vnode
+	cur      Itemset
+	its      []Itemset
+	counts   []int
 }
 
 func newVminer(numTids int) *vminer {
 	return &vminer{pool: bitset.NewPool(numTids)}
 }
 
-// reset prepares the miner for a new mine; buffers (pool, levels, prefix)
-// carry over, output accumulators start fresh (they escape into the
-// returned FrequentSet).
-func (m *vminer) reset(mult []int32, minCount int) {
-	m.mult = mult
+// reset prepares the miner for a new mine over the given root-level pair
+// supports; buffers (pool, levels, prefix) carry over, output accumulators
+// start fresh (they escape into the returned FrequentSet).
+func (m *vminer) reset(minCount int, pairs *pairTable) {
 	m.minCount = minCount
+	m.pairs = pairs
 	m.cur = m.cur[:0]
 	m.its = nil
 	m.counts = nil
@@ -156,22 +165,6 @@ func (m *vminer) childBuf(depth int) []vnode {
 		m.levels = append(m.levels, nil)
 	}
 	return m.levels[depth][:0]
-}
-
-// tidCount returns the (weighted) support |a ∩ b|.
-func (m *vminer) tidCount(a, b bitset.Set) int {
-	if m.mult == nil {
-		return bitset.AndCount(a, b)
-	}
-	return bitset.WeightAnd(a, b, m.mult)
-}
-
-// diffCount returns the (weighted) cardinality |a \ b|.
-func (m *vminer) diffCount(a, b bitset.Set) int {
-	if m.mult == nil {
-		return bitset.AndNotCount(a, b)
-	}
-	return bitset.WeightAndNot(a, b, m.mult)
 }
 
 // emit records the current prefix with its support.
@@ -191,11 +184,11 @@ func (m *vminer) buildChildren(x *vnode, ys []vnode, diffMode, toDiff bool, buf 
 		var c int
 		switch {
 		case diffMode:
-			c = x.count - m.diffCount(y.set, x.set)
+			c = x.count - bitset.AndNotCount(y.set, x.set)
 		case toDiff:
-			c = x.count - m.diffCount(x.set, y.set)
+			c = x.count - bitset.AndNotCount(x.set, y.set)
 		default:
-			c = m.tidCount(x.set, y.set)
+			c = bitset.AndCount(x.set, y.set)
 		}
 		if c < m.minCount {
 			continue
@@ -238,16 +231,15 @@ func (m *vminer) extend(exts []vnode, diffMode bool) {
 	}
 }
 
-// rootChildren computes root i's frequent 2-itemset extensions: supports
-// come from the shared pair table (falling back to fused intersections
-// when none was built), and only frequent pairs materialize a set.
+// rootChildren computes root i's frequent 2-itemset extensions by one scan
+// of its row of the pair table; only frequent pairs materialize a set.
 func (m *vminer) rootChildren(roots []vnode, i int, toDiff bool, buf []vnode) []vnode {
 	x := &roots[i]
-	if m.pairCount == nil {
-		return m.buildChildren(x, roots[i+1:], false, toDiff, buf)
-	}
+	pt := m.pairs
+	a := pt.key(roots, i)
+	row := pt.counts[pt.base(a):]
 	for j := i + 1; j < len(roots); j++ {
-		c := m.pairCount(i, j)
+		c := int(row[pt.key(roots, j)-a-1])
 		if c < m.minCount {
 			continue
 		}
@@ -313,13 +305,11 @@ func MineVertical(d *txn.Dataset, minSupport float64, parallelism int) (*Frequen
 	return NewEngine(d, parallelism, CounterBitmap).Mine(minSupport)
 }
 
-// mineVertical runs the Eclat/dEclat DFS over an index. itemCounts are the
-// (weighted) pass-1 supports and n the (weighted) transaction total; mult
-// nil mines the indexed dataset itself, non-nil mines a multiplicity-
-// weighted view of it. Frequent-item subtrees are sharded across workers;
+// mineVertical runs the Eclat/dEclat DFS over d's index ix. itemCounts are
+// the pass-1 supports and n the transaction total. Frequent-item subtrees are sharded across workers;
 // per-shard outputs concatenate in shard order, which is DFS preorder ==
 // lexicographic order, so results are identical for every worker count.
-func mineVertical(d *txn.Dataset, ix *VerticalIndex, mult []int32, itemCounts []int, n int, minSupport float64, parallelism int) (*FrequentSet, error) {
+func mineVertical(d *txn.Dataset, ix *VerticalIndex, itemCounts []int, n int, minSupport float64, parallelism int) (*FrequentSet, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, minSupportError(minSupport)
 	}
@@ -333,15 +323,14 @@ func mineVertical(d *txn.Dataset, ix *VerticalIndex, mult []int32, itemCounts []
 		return out, nil
 	}
 	pairs := &pairTable{}
-	pairs.countPairs(d, mult, roots)
+	pairs.countPairs(d, roots)
 	workers := parallel.Workers(parallelism)
 	if workers > len(roots) {
 		workers = len(roots)
 	}
 	if workers == 1 {
 		m := newVminer(ix.n)
-		m.reset(mult, minCount)
-		m.pairCount = pairs.at
+		m.reset(minCount, pairs)
 		m.mineRoots(roots, 0, len(roots))
 		out.Itemsets, out.Counts = m.its, m.counts
 		return out, nil
@@ -350,8 +339,7 @@ func mineVertical(d *txn.Dataset, ix *VerticalIndex, mult []int32, itemCounts []
 	miners := make([]*vminer, len(chunks))
 	parallel.Do(len(chunks), len(chunks), func(shard int, _ parallel.Chunk) {
 		m := newVminer(ix.n)
-		m.reset(mult, minCount)
-		m.pairCount = pairs.at // read-only during mining, safe to share
+		m.reset(minCount, pairs) // read-only during mining, safe to share
 		m.mineRoots(roots, chunks[shard].Lo, chunks[shard].Hi)
 		miners[shard] = m
 	})

@@ -153,7 +153,7 @@ func (ix *VerticalIndex) fill(d *txn.Dataset, c parallel.Chunk) {
 
 // VerticalIndexOf returns d's vertical index, building and memoizing it on
 // the dataset on first use so repeated scans — streaming window re-counts,
-// bootstrap draws over a shared pool — amortize construction. The dataset
+// per-batch window mining — amortize construction. The dataset
 // must not be mutated afterwards (see txn.Dataset.Memo, whose single slot
 // this package owns).
 func VerticalIndexOf(d *txn.Dataset, parallelism int) *VerticalIndex {

@@ -19,8 +19,8 @@ import (
 type WindowMiner struct {
 	numItems int
 	parts    []*txn.Dataset
-	items    []int   // aggregated pass-1 counts
-	pairs    []int32 // aggregated full-universe triangular pair counts
+	items    []int     // aggregated pass-1 counts
+	pairs    pairTable // aggregated full-universe pair counts, keyed by item
 	n        int
 
 	combined []bitset.Set // per-item window bitmaps (rebuilt per mine)
@@ -53,25 +53,19 @@ func NewWindowMiner(numItems int) *WindowMiner {
 	return &WindowMiner{
 		numItems: numItems,
 		items:    make([]int, numItems),
-		pairs:    make([]int32, numItems*(numItems-1)/2),
+		pairs: pairTable{
+			side:   numItems,
+			byItem: true,
+			counts: make([]int32, numItems*(numItems-1)/2),
+		},
 	}
 }
 
-// pairAt returns the triangular index of the item pair a < b.
-func (wm *WindowMiner) pairAt(a, b int) int {
-	return a*(2*wm.numItems-a-1)/2 + b - a - 1
-}
-
 // addPairs folds d's pair counts into the aggregate with the given sign.
+// Transactions are sorted-unique, so their items are ascending keys.
 func (wm *WindowMiner) addPairs(d *txn.Dataset, sign int32) {
 	for _, tr := range d.Txns {
-		for a := 0; a+1 < len(tr); a++ {
-			a0 := int(tr[a])
-			base := a0*(2*wm.numItems-a0-1)/2 - a0 - 1 // pair (a0, b) at base + b
-			for _, b := range tr[a+1:] {
-				wm.pairs[base+int(b)] += sign
-			}
-		}
+		wm.pairs.add(tr, sign)
 	}
 }
 
@@ -158,7 +152,7 @@ func (wm *WindowMiner) Mine(minSupport float64) (*FrequentSet, error) {
 		wm.miner = newVminer(wm.n)
 	}
 	m := wm.miner
-	m.reset(nil, minCount)
+	m.reset(minCount, &wm.pairs)
 	roots := wm.roots[:0]
 	for it, c := range wm.items {
 		if c >= minCount {
@@ -170,9 +164,6 @@ func (wm *WindowMiner) Mine(minSupport float64) (*FrequentSet, error) {
 		return out, nil
 	}
 	wm.buildCombined(roots)
-	m.pairCount = func(i, j int) int {
-		return int(wm.pairs[wm.pairAt(int(roots[i].item), int(roots[j].item))])
-	}
 	m.mineRoots(roots, 0, len(roots))
 	out.Itemsets, out.Counts = m.its, m.counts
 	m.its, m.counts = nil, nil

@@ -8,10 +8,8 @@
 // The hot operations are therefore intersect-and-count and its diffset
 // twin. AndCount/AndNotCount fuse the word operation with the popcount so
 // a final set never materializes; AndInto/AndNotInto materialize partial
-// results into caller-owned scratch; WeightAnd/WeightAndNot are the
-// multiplicity-weighted forms used by bootstrap views, where bit t carries
-// weight mult[t] instead of 1. A Pool recycles equal-length scratch sets
-// so steady-state mining and counting allocate nothing.
+// results into caller-owned scratch. A Pool recycles equal-length scratch
+// sets so steady-state mining and counting allocate nothing.
 package bitset
 
 import "math/bits"
@@ -110,53 +108,6 @@ func AndNotCount(a, b Set) int {
 	n := 0
 	for i, w := range a {
 		n += bits.OnesCount64(w &^ b[i])
-	}
-	return n
-}
-
-// Weight returns the sum of mult[i] over the set bits of s — the
-// multiplicity-weighted popcount of a bootstrap view, where bit t stands
-// for mult[t] copies of transaction t. mult must cover every set bit.
-func (s Set) Weight(mult []int32) int {
-	n := 0
-	for i, w := range s {
-		base := i * wordBits
-		for w != 0 {
-			n += int(mult[base+bits.TrailingZeros64(w)])
-			w &= w - 1
-		}
-	}
-	return n
-}
-
-// WeightAnd returns the mult-weighted popcount of a AND b without
-// materializing the intersection — the weighted twin of AndCount. a and b
-// must have equal length.
-func WeightAnd(a, b Set, mult []int32) int {
-	n := 0
-	for i, aw := range a {
-		w := aw & b[i]
-		base := i * wordBits
-		for w != 0 {
-			n += int(mult[base+bits.TrailingZeros64(w)])
-			w &= w - 1
-		}
-	}
-	return n
-}
-
-// WeightAndNot returns the mult-weighted popcount of a AND NOT b — the
-// weighted twin of AndNotCount, used for diffset supports under a
-// bootstrap view. a and b must have equal length.
-func WeightAndNot(a, b Set, mult []int32) int {
-	n := 0
-	for i, aw := range a {
-		w := aw &^ b[i]
-		base := i * wordBits
-		for w != 0 {
-			n += int(mult[base+bits.TrailingZeros64(w)])
-			w &= w - 1
-		}
 	}
 	return n
 }

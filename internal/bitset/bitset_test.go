@@ -92,16 +92,14 @@ func TestAndAgainstReference(t *testing.T) {
 	}
 }
 
-// TestDiffAndWeightOps checks the diffset and weighted kernels against a
-// boolean reference model, including the in-place variants.
-func TestDiffAndWeightOps(t *testing.T) {
+// TestDiffOps checks the diffset kernels against a boolean reference
+// model, including the in-place variants.
+func TestDiffOps(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 130, 1000} {
 		rng := rand.New(rand.NewSource(int64(n) + 11))
 		a, b := New(n), New(n)
 		ra, rb := make([]bool, n), make([]bool, n)
-		mult := make([]int32, n)
 		for i := 0; i < n; i++ {
-			mult[i] = int32(rng.Intn(5))
 			if rng.Intn(3) == 0 {
 				a.Set(i)
 				ra[i] = true
@@ -111,17 +109,10 @@ func TestDiffAndWeightOps(t *testing.T) {
 				rb[i] = true
 			}
 		}
-		wantDiff, wantAndW, wantDiffW, wantAW := 0, 0, 0, 0
+		wantDiff := 0
 		for i := 0; i < n; i++ {
 			if ra[i] && !rb[i] {
 				wantDiff++
-				wantDiffW += int(mult[i])
-			}
-			if ra[i] && rb[i] {
-				wantAndW += int(mult[i])
-			}
-			if ra[i] {
-				wantAW += int(mult[i])
 			}
 		}
 		if got := AndNotCount(a, b); got != wantDiff {
@@ -129,15 +120,6 @@ func TestDiffAndWeightOps(t *testing.T) {
 		}
 		if got := AndNotInto(New(n), a, b).Count(); got != wantDiff {
 			t.Fatalf("n=%d: AndNotInto count = %d, want %d", n, got, wantDiff)
-		}
-		if got := a.Weight(mult); got != wantAW {
-			t.Fatalf("n=%d: Weight = %d, want %d", n, got, wantAW)
-		}
-		if got := WeightAnd(a, b, mult); got != wantAndW {
-			t.Fatalf("n=%d: WeightAnd = %d, want %d", n, got, wantAndW)
-		}
-		if got := WeightAndNot(a, b, mult); got != wantDiffW {
-			t.Fatalf("n=%d: WeightAndNot = %d, want %d", n, got, wantDiffW)
 		}
 		// In-place variants against their *Into twins.
 		ip := make(Set, len(a))

@@ -48,7 +48,7 @@ func (dtClass) MeasureGCR(m1, m2 *DTModel, d1, d2 *dataset.Dataset, cfg *Config)
 // trees, the GCR counts and the replicate deviation are bit-identical to
 // the generic Resample/Induce/MeasureGCR path — pinned by
 // TestDTQualifyBootstrapEquivalence.
-func (c dtClass) newReplicate(pool *dataset.Dataset, cfg *Config) (replicateFunc, bool) {
+func (c dtClass) newReplicate(pool *dataset.Dataset, cfg *Config) (func() replicateFunc, bool) {
 	ranks, err := dtree.NewRanks(pool, cfg.Parallelism)
 	if err != nil {
 		return nil, false
@@ -78,7 +78,7 @@ func (c dtClass) newReplicate(pool *dataset.Dataset, cfg *Config) (replicateFunc
 		}
 		return Deviation1(regions, float64(s1.Len()), float64(s2.Len()), f, g)
 	}
-	return rep, true
+	return func() replicateFunc { return rep }, true
 }
 
 // drawRows appends n row indices drawn with replacement from [0, poolN),

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"focus/internal/apriori"
 	"focus/internal/txn"
@@ -68,59 +67,42 @@ func countRegions(c1, c2 []int) []MeasuredRegion {
 	return regions
 }
 
-// viewPair is one bootstrap worker's reusable replicate state: two weighted
-// views over the shared pool index, recycled through a sync.Pool so a
-// steady-state replicate allocates only its GCR and regions.
-type viewPair struct {
-	v1, v2 *apriori.View
-}
-
 // newReplicate implements the bootstrapper fast path: when the vertical
-// engine is worth it for the pool, replicates draw multiplicity-vector
-// views instead of materializing resampled datasets and mine them through
-// the weighted vertical DFS. Mining already counted every GCR itemset that
-// is frequent in a view, so only the itemsets frequent in the other view
-// alone are counted through the pool's memoized index. The RNG stream, the
+// engine is worth it for the pool, the pool is packed once and each
+// bootstrap worker owns one exploded view pair over it, whose replicates
+// draw pool rows instead of materializing resampled datasets and mine
+// them through the vertical DFS. Mining already counted every GCR itemset
+// that is frequent in a view, so only the itemsets frequent in the other
+// view alone are counted on the view's bitmaps. The RNG stream, the
 // integer counts, and hence the replicate deviations are bit-identical to
 // the generic Resample/Induce/MeasureGCR path — pinned by
 // TestQualifyViewBootstrapEquivalence.
-func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, bool) {
+func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (func() replicateFunc, bool) {
 	if !apriori.UseViewBootstrap(c.counter, pool) {
 		return nil, false
 	}
-	// Build the shared index once, in parallel, before the workers start;
-	// every view then borrows it.
-	apriori.VerticalIndexOf(pool, cfg.Parallelism)
-	var pairs sync.Pool
+	packed := apriori.NewPool(pool)
 	keep := cfg.FocusItemsets
 	minSupport := c.minSupport
-	rep := func(rng *rand.Rand, n1, n2, blockN int, extension bool, f DiffFunc, g AggFunc) float64 {
-		p, _ := pairs.Get().(*viewPair)
-		if p == nil {
-			p = &viewPair{v1: apriori.NewView(pool, 1), v2: apriori.NewView(pool, 1)}
+	return func() replicateFunc {
+		p := apriori.NewViewPair(packed)
+		return func(rng *rand.Rand, n1, n2, blockN int, extension bool, f DiffFunc, g AggFunc) float64 {
+			if extension {
+				p.Extend(n1, blockN, rng)
+			} else {
+				p.Draw(n1, n2, rng)
+			}
+			fs1, fs2, err := p.Mine(minSupport)
+			if err != nil {
+				panic(err)
+			}
+			gcr := newLitsGCR(fs1, fs2)
+			gcr.focus(keep)
+			c1 := minedCounts(&p.V1, fs1, gcr.sets, gcr.at1)
+			c2 := minedCounts(&p.V2, fs2, gcr.sets, gcr.at2)
+			return Deviation1(countRegions(c1, c2), float64(p.V1.N()), float64(p.V2.N()), f, g)
 		}
-		defer pairs.Put(p)
-		p.v1.Draw(n1, rng)
-		if extension {
-			p.v2.Extend(p.v1, blockN, rng)
-		} else {
-			p.v2.Draw(n2, rng)
-		}
-		fs1, err := p.v1.Mine(minSupport)
-		if err != nil {
-			panic(err)
-		}
-		fs2, err := p.v2.Mine(minSupport)
-		if err != nil {
-			panic(err)
-		}
-		gcr := newLitsGCR(fs1, fs2)
-		gcr.focus(keep)
-		c1 := minedCounts(p.v1, fs1, gcr.sets, gcr.at1)
-		c2 := minedCounts(p.v2, fs2, gcr.sets, gcr.at2)
-		return Deviation1(countRegions(c1, c2), float64(p.v1.N()), float64(p.v2.N()), f, g)
-	}
-	return rep, true
+	}, true
 }
 
 // minedCounts returns the support under v of each GCR itemset, where fs was

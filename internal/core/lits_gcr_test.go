@@ -103,20 +103,15 @@ func TestGCRMergeMatchesOracle(t *testing.T) {
 func TestMinedCountsMatchViewCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	pool := skewedTxnDataset(rng, 600, 25, 6)
-	v1, v2 := apriori.NewView(pool, 1), apriori.NewView(pool, 1)
+	p := apriori.NewViewPair(apriori.NewPool(pool))
 	var reused, counted int
 	for trial := 0; trial < 12; trial++ {
-		v1.Draw(280, rng)
 		if trial%2 == 0 {
-			v2.Extend(v1, 90, rng)
+			p.Extend(280, 90, rng)
 		} else {
-			v2.Draw(320, rng)
+			p.Draw(280, 320, rng)
 		}
-		fs1, err := v1.Mine(0.04)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs2, err := v2.Mine(0.06)
+		fs1, fs2, err := p.Mine([]float64{0.04, 0.06}[trial%2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +127,7 @@ func TestMinedCountsMatchViewCount(t *testing.T) {
 				counted++
 			}
 		}
-		for side, v := range []*apriori.View{v1, v2} {
+		for side, v := range []*apriori.View{&p.V1, &p.V2} {
 			fs, at := fs1, gcr.at1
 			if side == 1 {
 				fs, at = fs2, gcr.at2

@@ -66,22 +66,23 @@ type ModelClass[D, M any] interface {
 // replicateFunc computes one bootstrap replicate's deviation: draw a
 // resample pair of the given sizes from the pool (consuming exactly the
 // RNG stream the generic Resample-based draw would), re-induce both
-// models, measure their GCR, and reduce with f/g. Implementations must be
-// safe for concurrent use — Qualify runs replicates on parallel workers,
-// each with its own rng.
+// models, measure their GCR, and reduce with f/g. A replicateFunc belongs
+// to one bootstrap worker and need not be safe for concurrent use.
 type replicateFunc func(rng *rand.Rand, n1, n2, blockN int, extension bool, f DiffFunc, g AggFunc) float64
 
 // bootstrapper is an optional fast path a ModelClass may implement:
-// newReplicate prepares the pool once and returns a replicateFunc that
-// skips the generic path's redundant work, or ok=false to keep the generic
-// Resample/Induce/MeasureGCR path. Two classes implement it: lits mines
-// weighted views over the pool's memoized vertical index and reuses the
-// mined supports for the GCR (class_lits.go); dt ranks the pool's numeric
-// attributes and grows replicate trees from the ranks (class_dt.go). The
-// replicate values must be bit-identical to the generic path — same RNG
-// consumption, same integer counts, same float64 reduction.
+// newReplicate prepares the pool once and returns a factory that Qualify
+// calls once per bootstrap worker, each replicateFunc owning its worker's
+// scratch state and skipping the generic path's redundant work, or
+// ok=false to keep the generic Resample/Induce/MeasureGCR path. Two
+// classes implement it: lits mines exploded view pairs over the packed
+// pool and reuses the mined supports for the GCR (class_lits.go); dt
+// ranks the pool's numeric attributes and grows replicate trees from the
+// ranks (class_dt.go). The replicate values must be bit-identical to the
+// generic path — same RNG consumption, same integer counts, same float64
+// reduction.
 type bootstrapper[D any] interface {
-	newReplicate(pool D, cfg *Config) (replicateFunc, bool)
+	newReplicate(pool D, cfg *Config) (func() replicateFunc, bool)
 }
 
 // Window is the streaming half of a ModelClass: an incrementally maintained
@@ -327,8 +328,21 @@ func Qualify[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, opt
 	if err != nil {
 		return Qualification{}, err
 	}
+	observed := Deviation1(regions, float64(mc.Len(d1)), float64(mc.Len(d2)), f, g)
+	return QualifyObserved(mc, d1, d2, observed, f, g, opts...)
+}
+
+// QualifyObserved is Qualify for a caller that already holds the observed
+// deviation delta(f,g) between d1 and d2 — a streaming monitor measures it
+// from its windows' summaries — so only the pool and the bootstrap null
+// are computed. Given Qualify's observed deviation, the result is
+// bit-identical to Qualify's.
+func QualifyObserved[D, M any](mc ModelClass[D, M], d1, d2 D, observed float64, f DiffFunc, g AggFunc, opts ...Option) (Qualification, error) {
+	cfg := NewConfig(opts...)
 	n1, n2 := mc.Len(d1), mc.Len(d2)
-	observed := Deviation1(regions, float64(n1), float64(n2), f, g)
+	if n1 == 0 || n2 == 0 {
+		return Qualification{}, errors.New("core: qualification requires non-empty datasets")
+	}
 	pool, err := mc.Concat(d1, d2)
 	if err != nil {
 		return Qualification{}, err
@@ -372,14 +386,18 @@ func Qualify[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, opt
 		}
 		return Deviation1(regs, float64(mc.Len(r1)), float64(mc.Len(r2)), f, g)
 	}
+	newDraw := func() func(*rand.Rand) float64 { return draw }
 	if fast, ok := any(mc).(bootstrapper[D]); ok {
-		if rep, ok := fast.newReplicate(pool, &cfg); ok {
-			draw = func(rng *rand.Rand) float64 {
-				return rep(rng, n1, n2, blockN, cfg.Extension, f, g)
+		if newRep, ok := fast.newReplicate(pool, &cfg); ok {
+			newDraw = func() func(*rand.Rand) float64 {
+				rep := newRep()
+				return func(rng *rand.Rand) float64 {
+					return rep(rng, n1, n2, blockN, cfg.Extension, f, g)
+				}
 			}
 		}
 	}
-	null := stats.NullDistributionP(cfg.Replicates, cfg.Parallelism, cfg.Seed, draw)
+	null := stats.NullDistributionP(cfg.Replicates, cfg.Parallelism, cfg.Seed, newDraw)
 	return Qualification{
 		Deviation:    observed,
 		Significance: stats.Significance(observed, null),

@@ -10,8 +10,8 @@ import (
 
 // The view bootstrap must be invisible: Qualify through the trie backend
 // (which keeps the generic materialized-resample path) and through the
-// bitmap/auto backends (which run weighted views over the pool's vertical
-// index) must produce bit-identical deviations, significances, and null
+// bitmap/auto backends (which mine exploded view pairs over the packed
+// pool) must produce bit-identical deviations, significances, and null
 // distributions, at every parallelism. Run under -race this also shakes
 // out sharing bugs between concurrent view workers.
 
@@ -62,12 +62,39 @@ func TestQualifyViewBootstrapEquivalence(t *testing.T) {
 	}
 }
 
+// Each bootstrap worker owns one view pair for all its replicates; the
+// null must not depend on how the replicates split across workers.
+func TestQualifyViewWorkerOwnedPairs(t *testing.T) {
+	d1, d2 := qualifyViewData(t)
+	var want []float64
+	for _, p := range []int{1, 2, 4} {
+		got, err := Qualify(LitsWithCounter(0.05, apriori.CounterBitmap), d1, d2, AbsoluteDiff, Sum,
+			WithReplicates(13), WithSeed(8), WithParallelism(p), WithExtension())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got.Null
+			continue
+		}
+		for i := range want {
+			if got.Null[i] != want[i] {
+				t.Fatalf("par%d: null[%d] = %v, serial %v", p, i, got.Null[i], want[i])
+			}
+		}
+	}
+}
+
 // TestUseViewBootstrapGate pins the knob semantics: trie never takes the
-// view path, bitmap always does, auto follows the index-worth heuristic.
+// view path, bitmap always does, and auto declines a tiny pool (an index
+// memoized on it changes nothing: views do not use it) and a universe
+// whose per-worker view pair would exceed the memory cap.
 func TestUseViewBootstrapGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	big := skewedTxnDataset(rng, 600, 20, 5)
 	tiny := skewedTxnDataset(rng, 20, 20, 5)
+	apriori.VerticalIndexOf(tiny, 1)
+	wide := &txn.Dataset{NumItems: 1 << 23, Txns: big.Txns}
 	if apriori.UseViewBootstrap(apriori.CounterTrie, big) {
 		t.Fatal("trie backend took the view bootstrap")
 	}
@@ -79,5 +106,11 @@ func TestUseViewBootstrapGate(t *testing.T) {
 	}
 	if apriori.UseViewBootstrap(apriori.CounterAuto, tiny) {
 		t.Fatal("auto took the view bootstrap on a tiny pool")
+	}
+	if apriori.UseViewBootstrap(apriori.CounterAuto, wide) {
+		t.Fatal("auto took the view bootstrap over a universe whose view pair exceeds the cap")
+	}
+	if !apriori.UseViewBootstrap(apriori.CounterBitmap, wide) {
+		t.Fatal("bitmap backend skipped the view bootstrap over a wide universe")
 	}
 }

@@ -18,21 +18,24 @@ const DefaultBootstrapReplicates = 99
 // deterministically seeded RNGs and must be safe for concurrent use.
 // The returned values are sorted ascending.
 func NullDistribution(b int, seed int64, draw func(rng *rand.Rand) float64) []float64 {
-	return NullDistributionP(b, 0, seed, draw)
+	return NullDistributionP(b, 0, seed, func() func(*rand.Rand) float64 { return draw })
 }
 
 // NullDistributionP is NullDistribution with a parallelism knob controlling
 // the replicate worker count (0 = the process default, 1 = serial, n = n
-// workers). The replicates are partitioned into static contiguous chunks —
-// one per worker, no cross-worker handoff — and replicate i's generator
-// depends only on (seed, i) and lands in slot i, so the distribution is
-// identical for every worker count.
-func NullDistributionP(b, parallelism int, seed int64, draw func(rng *rand.Rand) float64) []float64 {
+// workers), and with worker-owned draw state: each worker calls newDraw
+// once and runs all its replicates through the draw it returns, which need
+// not be safe for concurrent use. The replicates are partitioned into
+// static contiguous chunks — one per worker, no cross-worker handoff — and
+// replicate i's generator depends only on (seed, i) and lands in slot i,
+// so the distribution is identical for every worker count.
+func NullDistributionP(b, parallelism int, seed int64, newDraw func() func(rng *rand.Rand) float64) []float64 {
 	if b <= 0 {
 		b = DefaultBootstrapReplicates
 	}
 	out := make([]float64, b)
 	parallel.Do(b, parallelism, func(shard int, c parallel.Chunk) {
+		draw := newDraw()
 		for i := c.Lo; i < c.Hi; i++ {
 			// Each replicate owns an independent generator so results do
 			// not depend on scheduling.

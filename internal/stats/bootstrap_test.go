@@ -3,6 +3,7 @@ package stats
 import (
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 )
 
@@ -106,6 +107,37 @@ func TestNullDistributionParallelSafety(t *testing.T) {
 	for _, v := range null {
 		if v <= 0 || v >= 100 {
 			t.Fatalf("replicate %v outside plausible range", v)
+		}
+	}
+}
+
+// TestNullDistributionWorkerOwnedDraws pins the worker-owned draw state of
+// NullDistributionP: each worker builds its draw once and runs all its
+// replicates through it, so a draw may keep unsynchronized scratch (run
+// with -race), and the distribution is the same at every worker count.
+func TestNullDistributionWorkerOwnedDraws(t *testing.T) {
+	var want []float64
+	for _, p := range []int{1, 2, 4} {
+		var calls atomic.Int32
+		null := NullDistributionP(23, p, 17, func() func(*rand.Rand) float64 {
+			calls.Add(1)
+			scratch := make([]float64, 0, 2) // reused without a lock
+			return func(rng *rand.Rand) float64 {
+				scratch = append(scratch[:0], rng.Float64(), rng.Float64())
+				return scratch[0] + scratch[1]
+			}
+		})
+		if n := calls.Load(); int(n) != p {
+			t.Fatalf("parallelism %d: %d draws built, want one per worker", p, n)
+		}
+		if want == nil {
+			want = null
+			continue
+		}
+		for i := range want {
+			if null[i] != want[i] {
+				t.Fatalf("parallelism %d: null[%d] = %v, serial %v", p, i, null[i], want[i])
+			}
 		}
 	}
 }

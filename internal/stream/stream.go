@@ -311,11 +311,12 @@ func (m *Monitor[D, M]) snapshot() error {
 	return nil
 }
 
-// qualify bootstraps the emitted deviation through the generic Qualify
-// pipeline over the reference and window raw data (Section 3.4 applied to
-// the monitoring statistic). Bit-identical to qualifying the batch
-// datasets directly: the windows' concatenated data induce the same models
-// as their mergeable summaries. Callers hold m.mu.
+// qualify bootstraps the emitted deviation over the reference and window
+// raw data (Section 3.4 applied to the monitoring statistic). The observed
+// deviation is the one measured from the windows' mergeable summaries,
+// which equals the deviation of the windows' concatenated data, so only
+// the pool and the null are computed: bit-identical to core.Qualify over
+// the raw data. Callers hold m.mu.
 //
 //lint:holds mu
 func (m *Monitor[D, M]) qualify(observed float64, seed int64) (*core.Qualification, error) {
@@ -324,7 +325,7 @@ func (m *Monitor[D, M]) qualify(observed float64, seed int64) (*core.Qualificati
 	if m.mc.Len(refData) == 0 || m.mc.Len(curData) == 0 {
 		return nil, errors.New("stream: qualification requires non-empty reference and window")
 	}
-	q, err := core.Qualify(m.mc, refData, curData, m.opts.F, m.opts.G, core.WithConfig(core.Config{
+	q, err := core.QualifyObserved(m.mc, refData, curData, observed, m.opts.F, m.opts.G, core.WithConfig(core.Config{
 		Replicates:  m.opts.Replicates,
 		Seed:        seed,
 		Parallelism: m.opts.Parallelism,
@@ -332,7 +333,6 @@ func (m *Monitor[D, M]) qualify(observed float64, seed int64) (*core.Qualificati
 	if err != nil {
 		return nil, err
 	}
-	q.Deviation = observed
 	return &q, nil
 }
 

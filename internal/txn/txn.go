@@ -277,7 +277,7 @@ func (d *Dataset) SampleFraction(frac float64, rng *rand.Rand) *Dataset {
 
 // Resample returns a bootstrap resample of n transactions drawn with
 // replacement, as a materialized dataset (the transaction slices are
-// shared with d). DrawInto is the view form of the same draw.
+// shared with d).
 func (d *Dataset) Resample(n int, rng *rand.Rand) *Dataset {
 	if len(d.Txns) == 0 {
 		panic("txn: cannot resample an empty dataset")
@@ -287,60 +287,6 @@ func (d *Dataset) Resample(n int, rng *rand.Rand) *Dataset {
 		out.Txns[i] = d.Txns[rng.Intn(len(d.Txns))]
 	}
 	return out
-}
-
-// Draw is the view form of a bootstrap resample: instead of a dataset of
-// copied transaction slices, a with-replacement draw is a multiplicity
-// vector over the base dataset — Mult[t] counts how many times transaction
-// t was drawn, N totals the draws. Itemset counts under a draw are
-// multiplicity-weighted counts over the base dataset, identical to counts
-// over the materialized resample (internal/apriori computes them through
-// the base dataset's memoized vertical index). A Draw's buffer is reusable
-// across replicates via Reset.
-type Draw struct {
-	Mult []int32
-	N    int
-}
-
-// Reset empties the draw and sizes its multiplicity vector for a base
-// dataset of rows transactions, reusing the buffer when it is big enough.
-func (dr *Draw) Reset(rows int) {
-	if cap(dr.Mult) < rows {
-		dr.Mult = make([]int32, rows)
-	} else {
-		dr.Mult = dr.Mult[:rows]
-		for i := range dr.Mult {
-			dr.Mult[i] = 0
-		}
-	}
-	dr.N = 0
-}
-
-// CopyFrom makes dr a copy of o, reusing dr's buffer — the starting point
-// of an extension draw (D2 = D1 + Δ).
-func (dr *Draw) CopyFrom(o *Draw) {
-	if cap(dr.Mult) < len(o.Mult) {
-		dr.Mult = make([]int32, len(o.Mult))
-	} else {
-		dr.Mult = dr.Mult[:len(o.Mult)]
-	}
-	copy(dr.Mult, o.Mult)
-	dr.N = o.N
-}
-
-// DrawInto adds n with-replacement draws from d to dr (Reset first for a
-// fresh draw). It consumes exactly n rng.Intn(d.Len()) values — the same
-// RNG stream Resample consumes — so the drawn multiset is identical,
-// draw for draw, to the dataset Resample would materialize from the same
-// generator state.
-func (d *Dataset) DrawInto(dr *Draw, n int, rng *rand.Rand) {
-	if len(d.Txns) == 0 {
-		panic("txn: cannot resample an empty dataset")
-	}
-	for i := 0; i < n; i++ {
-		dr.Mult[rng.Intn(len(d.Txns))]++
-	}
-	dr.N += n
 }
 
 // Write writes the dataset in a simple line-oriented format: the first line
