@@ -7,10 +7,10 @@
 //	focusd -addr 127.0.0.1:8080
 //
 // With -data DIR sessions are durable: each session writes a snapshot of
-// its create-time configuration and logs every decoded batch to a
-// per-session write-ahead log before ingesting it, compacting the log into
-// a fresh snapshot of window state and reports every -compact-every
-// batches. On restart focusd restores every session by replaying
+// its create-time configuration, decoded reference rows and pinned tree,
+// and logs every decoded batch to a per-session write-ahead log before
+// ingesting it, compacting the log into a fresh snapshot of window state
+// and reports every -compact-every batches. On restart focusd restores every session by replaying
 // snapshot-then-WAL, on -parallelism workers, reproducing the exact pre-crash state and report stream — deviation
 // reports are deterministic in the fed batches, including bootstrap
 // qualification, whose RNG stream is seeded per report. Without -data the

@@ -263,10 +263,10 @@ func Lits(minSupport float64) ModelClass[*TxnDataset, *LitsModel] { return core.
 // LitsWithCounter is Lits with an explicit vertical-engine backend, one
 // decision for every support operation the class performs — mining
 // (levelwise trie passes vs the intersection-driven vertical DFS), GCR
-// measurement, bootstrap replicates (materialized resamples vs weighted
-// views over the memoized index), and streaming monitor windows
-// (per-batch counts and incremental window mining). Models and reports
-// are bit-identical for every Counter.
+// measurement, bootstrap replicates (materialized resamples vs exploded
+// view pairs that draw rows of one packed pool), and streaming monitor
+// windows (per-batch counts and incremental window mining). Models and
+// reports are bit-identical for every Counter.
 func LitsWithCounter(minSupport float64, c Counter) ModelClass[*TxnDataset, *LitsModel] {
 	return core.LitsWithCounter(minSupport, c)
 }

@@ -11,6 +11,7 @@ package dtree
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"focus/internal/dataset"
@@ -46,12 +47,18 @@ type Tree struct {
 }
 
 // NewTree assembles a tree from a hand-built node structure (used to
-// reproduce the paper's worked examples and in tests), numbering leaves in
-// DFS order. Internal nodes must have both children set; leaves must carry a
-// class histogram of the schema's class cardinality.
+// reproduce the paper's worked examples, in tests, and by DecodeBinary),
+// numbering leaves in DFS order. Internal nodes must have both children set,
+// split on a non-class attribute of the schema at a finite threshold, and
+// carry a value set of the attribute's cardinality when it is categorical;
+// leaves must carry a non-negative class histogram of the schema's class
+// cardinality. Anything else is an error, never a panic.
 func NewTree(s *dataset.Schema, root *Node) (*Tree, error) {
 	if s.Class < 0 {
 		return nil, fmt.Errorf("dtree: schema has no class attribute")
+	}
+	if root == nil {
+		return nil, fmt.Errorf("dtree: tree has no root")
 	}
 	t := &Tree{Schema: s, Root: root}
 	var err error
@@ -69,6 +76,12 @@ func NewTree(s *dataset.Schema, root *Node) (*Tree, error) {
 				err = fmt.Errorf("dtree: leaf histogram has %d classes, schema has %d", len(n.ClassCounts), s.NumClasses())
 				return
 			}
+			for c, v := range n.ClassCounts {
+				if v < 0 {
+					err = fmt.Errorf("dtree: leaf histogram holds %d tuples of class %d", v, c)
+					return
+				}
+			}
 			n.LeafID = len(t.leaves)
 			t.leaves = append(t.leaves, n)
 			return
@@ -77,8 +90,16 @@ func NewTree(s *dataset.Schema, root *Node) (*Tree, error) {
 			err = fmt.Errorf("dtree: node with only a left child")
 			return
 		}
+		if n.Attr < 0 || n.Attr >= len(s.Attrs) {
+			err = fmt.Errorf("dtree: split on attribute %d, schema has %d", n.Attr, len(s.Attrs))
+			return
+		}
 		if n.Attr == s.Class {
 			err = fmt.Errorf("dtree: split on the class attribute")
+			return
+		}
+		if math.IsNaN(n.Threshold) || math.IsInf(n.Threshold, 0) {
+			err = fmt.Errorf("dtree: split threshold %v is not finite", n.Threshold)
 			return
 		}
 		if s.Attrs[n.Attr].Kind == dataset.Categorical && len(n.LeftValues) != s.Attrs[n.Attr].Cardinality() {

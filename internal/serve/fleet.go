@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 )
 
 // This file is the member-side half of the multi-node serving subsystem
@@ -145,6 +144,11 @@ func (r *Registry) WriteList(w io.Writer) error {
 	return err
 }
 
+// exportVersion is the version of the SessionExport document. It is not
+// the snapshot format version: members of different versions exchange
+// exports during a rolling upgrade, so it changes only with the document.
+const exportVersion = 1
+
 // SessionExport is the transferable form of one session: its create-time
 // config plus the sealed live state — window batches, report ring and
 // counters — exactly what a compaction would bake into the on-disk
@@ -171,16 +175,16 @@ func (s *Session) Export(drain bool) (*SessionExport, error) {
 	if s.closed {
 		return nil, notFound(s.name)
 	}
-	cfg, err := s.configLocked()
+	cfg, err := s.exportConfig()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exporting config: %w", err)
 	}
 	ms, err := s.exportMonitor()
 	if err != nil {
 		return nil, fmt.Errorf("exporting window state: %w", err)
 	}
 	exp := &SessionExport{
-		Version: snapshotVersion,
+		Version: exportVersion,
 		Config:  cfg,
 		Monitor: ms,
 		Alerts:  s.alerts,
@@ -199,24 +203,21 @@ func (s *Session) Export(drain bool) (*SessionExport, error) {
 	return exp, nil
 }
 
-// configLocked recovers the session's create-time config: from the pinned
-// copy on an in-memory session, or read back from the on-disk snapshot on
-// a durable one (where pinning it in memory would duplicate what the
-// store already holds).
-//
-//lint:holds mu
-func (s *Session) configLocked() (json.RawMessage, error) {
-	if s.store != nil {
-		cfg, err := s.store.readConfig()
-		if err != nil {
-			return nil, fmt.Errorf("reading session snapshot: %w", err)
-		}
-		return cfg, nil
+// exportConfig rebuilds the session's create config: the config without
+// its reference, with the reference rows encoded back from the decoded
+// ones the monitor holds. Their values are bit-identical to the rows the
+// session was created with; the bytes need not be the client's.
+func (s *Session) exportConfig() (json.RawMessage, error) {
+	ref, err := s.refJSON()
+	if err != nil || ref == nil {
+		return s.cfgRaw, err
 	}
-	if len(s.cfgRaw) == 0 {
-		return nil, &statusError{code: http.StatusConflict, msg: fmt.Sprintf("session %q retains no config; it cannot be exported", s.name)}
+	var cfg SessionConfig
+	if err := json.Unmarshal(s.cfgRaw, &cfg); err != nil {
+		return nil, err
 	}
-	return s.cfgRaw, nil
+	cfg.Reference = ref
+	return json.Marshal(&cfg)
 }
 
 // Resume lifts a migration drain: feeds are accepted again. It is the
@@ -240,7 +241,7 @@ func (s *Session) Resume() error {
 // import acknowledgement loses nothing. The usual Create errors apply
 // (400 on bad config, 409 on a name collision).
 func (r *Registry) Import(exp *SessionExport) (*Session, error) {
-	if exp.Version != snapshotVersion {
+	if exp.Version != exportVersion {
 		return nil, badRequest(fmt.Sprintf("export version %d not supported", exp.Version))
 	}
 	var cfg SessionConfig
@@ -267,7 +268,7 @@ func (r *Registry) Import(exp *SessionExport) (*Session, error) {
 		r.mu.Unlock()
 	}
 
-	s, err := r.bind(cfg)
+	s, err := r.bind(cfg, nil, nil)
 	if err != nil {
 		unreserve()
 		return nil, err
@@ -281,25 +282,12 @@ func (r *Registry) Import(exp *SessionExport) (*Session, error) {
 		}
 	}
 	s.reports, s.alerts, s.last = exp.Reports, exp.Alerts, exp.Last
-	if r.store == nil {
-		s.cfgRaw = exp.Config
-	} else {
-		snap := &snapshotJSON{
-			Version: snapshotVersion,
-			WALGen:  1,
-			Config:  exp.Config,
-			Monitor: exp.Monitor,
-			Reports: exp.Reports,
-			Alerts:  exp.Alerts,
-			Last:    exp.Last,
-		}
-		ss, err := r.store.createFromSnapshot(cfg.Name, snap)
-		if err != nil {
+	if r.store != nil {
+		if err := s.persistNew(r.store); err != nil {
 			s.mu.Unlock()
 			unreserve()
 			return nil, fmt.Errorf("persisting imported session %q: %w", cfg.Name, err)
 		}
-		s.store = ss
 	}
 	s.mu.Unlock()
 

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,8 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"focus/internal/jsonscan"
 	"focus/internal/parallel"
+	"focus/internal/stream"
 	"focus/internal/wal"
 )
 
@@ -23,22 +27,49 @@ import (
 //
 // Layout under the data directory:
 //
-//	<data>/sessions/<name>/snapshot.json   config + (after compaction) state
+//	<data>/sessions/<name>/snapshot.bin    config, pinned reference (and tree), window state, reports
 //	<data>/sessions/<name>/wal.<gen>.log   batches fed since the snapshot
 //
 // A session's durable state is always (snapshot, WAL generation named by
-// the snapshot): Create writes a config-only snapshot and an empty
-// generation-1 WAL; every Feed decodes its rows and appends the decoded
-// batch to the WAL, in the binary record form below, before ingestion;
-// compaction reseals the accumulated WAL into a new snapshot carrying the
-// monitor's window state and the report ring, pointing at the next WAL
-// generation. Recovery rebuilds the session from the snapshot (bind from
-// config, reinstate window state) and replays the snapshot's WAL
-// generation through the same intake step a feed ends in, with no text
-// parse — deterministic, so the restored session's State and Reports are
+// the snapshot): Create writes a snapshot holding the config, the decoded
+// reference rows and, for a dt session, the tree grown from them, plus an
+// empty generation-1 WAL; every Feed decodes its rows and appends the
+// decoded batch to the WAL, in the binary record form below, before
+// ingestion; compaction reseals the accumulated WAL into a new snapshot
+// carrying the monitor's window state and the report ring, pointing at the
+// next WAL generation. Recovery rebuilds the session from the snapshot
+// (bind from the config, the binary reference rows and the encoded tree,
+// reinstate window state) and replays the snapshot's WAL generation through
+// the same intake step a feed ends in, with no text parse and no tree
+// growth — deterministic, so the restored session's State and Reports are
 // bit-identical to an uninterrupted run. OpenRegistry restores sessions on
 // a pool of parallel.Default() workers; each session restores on its own,
 // so the result does not depend on the worker count.
+//
+// A snapshot (format version 2) is
+//
+//	magic   snapshotMagic, 8 bytes
+//	header  a section: JSON {"version":2,"wal_gen":G,"config":{...},
+//	        "reports":[...],"alerts":A,"last":{...}}, the config without
+//	        its "reference" and the retained report ring
+//	ref     a section: the pinned reference rows, in the binary batch form
+//	        of WAL records (empty: no pinned reference)
+//	tree    a section: a dt session's pinned tree, dtree's binary form
+//	        (empty for the other model classes)
+//	window  a section: the monitor window state, see appendWindowState
+//	crc     CRC-32C of everything before it, 4 bytes little-endian
+//
+// where a section is its length as a uvarint followed by its bytes.
+// Compaction copies the config, reference and tree forward unchanged and
+// writes only the window state and report ring anew.
+//
+// Directories written before version 2 hold snapshot.json, one JSON
+// document with the reference as the create request's JSON rows and the
+// window batches as JSON rows. It still restores (decoding the rows and
+// growing a dt tree as before) and is resealed as snapshot.bin at the
+// session's next compaction, which removes snapshot.json only after the
+// new snapshot is renamed into place; a directory holding both restores
+// from snapshot.bin.
 //
 // Crash windows resolve by the write order. The new WAL generation is
 // created before the snapshot naming it is renamed into place, and the old
@@ -51,10 +82,20 @@ import (
 // trailing records from a crashed append are dropped by wal.Open.
 
 // snapshotVersion is the on-disk snapshot format version.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
-// snapshotFile is the per-session snapshot name.
-const snapshotFile = "snapshot.json"
+// snapshotFile is the per-session snapshot; snapshotV1File is the JSON
+// snapshot of format version 1.
+const (
+	snapshotFile   = "snapshot.bin"
+	snapshotV1File = "snapshot.json"
+)
+
+// snapshotMagic opens every snapshot file of format version 2 on.
+const snapshotMagic = "FOCUSSNP"
+
+// castagnoli is the CRC-32C table of the snapshot checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DefaultCompactEvery is the default WAL replay debt, in records, at which
 // a session compacts its log into a fresh snapshot.
@@ -76,36 +117,205 @@ type sessionStore struct {
 	w            *wal.Writer // guarded by Session.mu
 	records      int         // records in the current WAL generation; guarded by Session.mu
 	compactEvery int
+	// v1 marks a session restored from a snapshot.json not yet resealed:
+	// its next compaction encodes the pinned sections from memory, since
+	// the old file holds none to copy. Guarded by Session.mu.
+	v1 bool
 }
 
-// snapshotJSON is the on-disk snapshot: the session's create config
-// (verbatim, so the model class is rebuilt deterministically) and — once a
-// compaction has run — the monitor window state and report ring at the
-// point the WAL was resealed. json.Marshal writes the fields in this
-// order, so the config comes before the window state (snapshotConfig
-// relies on it).
-type snapshotJSON struct {
-	Version int `json:"version"`
-	// WALGen names the WAL generation holding the feeds after this
-	// snapshot.
+// snapshotHeader is the JSON header of a snapshot. Config is the session's
+// create config without its reference rows.
+type snapshotHeader struct {
+	Version int             `json:"version"`
+	WALGen  uint64          `json:"wal_gen"`
+	Config  json.RawMessage `json:"config"`
+	Reports []ReportJSON    `json:"reports,omitempty"`
+	Alerts  int             `json:"alerts,omitempty"`
+	Last    *ReportJSON     `json:"last,omitempty"`
+}
+
+// pinnedSections are the snapshot sections fixed when a session is
+// created: the binary reference rows and a dt session's encoded tree.
+type pinnedSections struct {
+	ref, tree []byte
+}
+
+// snapshot is a snapshot file split into its sections.
+type snapshot struct {
+	header []byte
+	pinnedSections
+	window []byte
+}
+
+// appendSection appends one length-prefixed section to buf.
+func appendSection(buf, sec []byte) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(sec))), sec...)
+}
+
+// encode renders the snapshot file.
+func (snap *snapshot) encode() []byte {
+	secs := [][]byte{snap.header, snap.ref, snap.tree, snap.window}
+	size := len(snapshotMagic) + 4
+	for _, sec := range secs {
+		size += binary.MaxVarintLen64 + len(sec)
+	}
+	buf := append(make([]byte, 0, size), snapshotMagic...)
+	for _, sec := range secs {
+		buf = appendSection(buf, sec)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// parseSnapshot splits a snapshot file into its sections, checking its
+// magic and checksum. The sections alias data.
+func parseSnapshot(data []byte) (snapshot, error) {
+	if len(data) < len(snapshotMagic)+4 || string(data[:len(snapshotMagic)]) != snapshotMagic {
+		return snapshot{}, errors.New("not a snapshot file")
+	}
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return snapshot{}, errors.New("snapshot checksum mismatch")
+	}
+	r := sectionReader{b: body[len(snapshotMagic):]}
+	snap := snapshot{header: r.section()}
+	snap.ref, snap.tree, snap.window = r.section(), r.section(), r.section()
+	return snap, r.end()
+}
+
+// sectionReader reads varints and sections off the front of b. The first
+// defect sticks: later reads return zero values, and end reports it.
+type sectionReader struct {
+	b   []byte
+	err error
+}
+
+func (r *sectionReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(r.b)
+	if k <= 0 {
+		r.err = errors.New("malformed snapshot varint")
+		return 0
+	}
+	r.b = r.b[k:]
+	return v
+}
+
+func (r *sectionReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, k := binary.Varint(r.b)
+	if k <= 0 {
+		r.err = errors.New("malformed snapshot varint")
+		return 0
+	}
+	r.b = r.b[k:]
+	return v
+}
+
+func (r *sectionReader) section() []byte {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.err = fmt.Errorf("snapshot section of %d bytes overruns its %d", n, len(r.b))
+	}
+	if r.err != nil {
+		return nil
+	}
+	sec := r.b[:n:n]
+	r.b = r.b[n:]
+	return sec
+}
+
+// end reports the first defect, or trailing bytes.
+func (r *sectionReader) end() error {
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("snapshot holds %d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+// appendWindowState appends the window section of a snapshot:
+//
+//	epoch     the epoch of the latest ingest, a zigzag varint
+//	seq       the reports emitted so far, a uvarint
+//	batches   the live batch count k, a uvarint, then k times the batch's
+//	          epoch (zigzag varint) and the batch as a section in the
+//	          binary batch form of WAL records
+//	promoted  a section: the promoted reference rows of a previous-window
+//	          session, empty while none is promoted
+func appendWindowState[D any](buf []byte, st stream.MonitorState[D], appendBatch func([]byte, D) []byte) []byte {
+	buf = binary.AppendVarint(buf, st.Epoch)
+	buf = binary.AppendUvarint(buf, uint64(st.Seq))
+	buf = binary.AppendUvarint(buf, uint64(len(st.Batches)))
+	var body []byte
+	for i, b := range st.Batches {
+		buf = binary.AppendVarint(buf, st.Epochs[i])
+		body = appendBatch(body[:0], b)
+		buf = appendSection(buf, body)
+	}
+	body = body[:0]
+	if st.RefPromoted {
+		body = appendBatch(body, st.RefData)
+	}
+	return appendSection(buf, body)
+}
+
+// parseWindowState reads the window section appendWindowState wrote.
+func parseWindowState[D any](b []byte, decodeBatch func([]byte) (D, error)) (stream.MonitorState[D], error) {
+	r := sectionReader{b: b}
+	var st stream.MonitorState[D]
+	st.Epoch = r.varint()
+	seq := r.uvarint()
+	n := r.uvarint()
+	// Every batch takes at least two bytes: its epoch and its length.
+	if r.err == nil && (seq > math.MaxInt || n > uint64(len(r.b))/2) {
+		return st, errors.New("malformed window state")
+	}
+	st.Seq = int(seq)
+	for i := 0; i < int(n) && r.err == nil; i++ {
+		st.Epochs = append(st.Epochs, r.varint())
+		sec := r.section()
+		if r.err != nil {
+			break
+		}
+		d, err := decodeBatch(sec)
+		if err != nil {
+			return st, fmt.Errorf("window batch %d: %w", i, err)
+		}
+		st.Batches = append(st.Batches, d)
+	}
+	promoted := r.section()
+	if err := r.end(); err != nil {
+		return st, fmt.Errorf("window state: %w", err)
+	}
+	if len(promoted) > 0 {
+		d, err := decodeBatch(promoted)
+		if err != nil {
+			return st, fmt.Errorf("reference window: %w", err)
+		}
+		st.RefPromoted, st.RefData = true, d
+	}
+	return st, nil
+}
+
+// snapshotV1 is a snapshot of format version 1 (snapshot.json): the
+// create config with its reference rows and — once a compaction has run —
+// the monitor window state and report ring, all JSON.
+type snapshotV1 struct {
+	Version int               `json:"version"`
 	WALGen  uint64            `json:"wal_gen"`
-	Config  json.RawMessage   `json:"config"`
+	Config  SessionConfig     `json:"config"`
 	Monitor *monitorStateJSON `json:"monitor,omitempty"`
 	Reports []ReportJSON      `json:"reports,omitempty"`
 	Alerts  int               `json:"alerts,omitempty"`
 	Last    *ReportJSON       `json:"last,omitempty"`
 }
 
-// restoredSnapshot is a snapshot as restore reads it: the config decoded
-// in the same pass as the rest (the outer Config shadows the embedded raw
-// one).
-type restoredSnapshot struct {
-	snapshotJSON
-	Config SessionConfig `json:"config"`
-}
-
-// monitorStateJSON is the wire form of stream.MonitorState: window batches
-// as row payloads in the session's own rows format.
+// monitorStateJSON is the JSON form of stream.MonitorState, in exports and
+// v1 snapshots: window batches as row payloads in the session's own rows
+// format.
 type monitorStateJSON struct {
 	Epoch   int64             `json:"epoch"`
 	Seq     int               `json:"seq"`
@@ -218,8 +428,8 @@ func (s *Session) readWALRecord(rec []byte) (epoch *int64, b batch, ok bool, err
 //
 // Sessions restore on a pool of parallel.Default() workers. Each worker
 // claims the next session from a shared counter, so cheap sessions and
-// costly ones (a dt session grows its pinned tree) spread evenly over the
-// pool. A session restores from its own directory alone, so the restored
+// costly ones (a long log to replay, or a v1 dt session that grows its
+// pinned tree) spread evenly over the pool. A session restores from its own directory alone, so the restored
 // state is the same for every worker count.
 func OpenRegistry(dir string, compactEvery int) (r *Registry, warnings []error, err error) {
 	if compactEvery <= 0 {
@@ -276,39 +486,13 @@ func OpenRegistry(dir string, compactEvery int) (r *Registry, warnings []error, 
 // restoreSession rebuilds one session from its directory, ready to
 // publish.
 func (r *Registry) restoreSession(dir string) (*Session, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	s, gen, v1, err := r.loadSnapshot(dir)
 	if err != nil {
-		return nil, fmt.Errorf("reading snapshot: %w", err)
-	}
-	var snap restoredSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("decoding snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("snapshot version %d not supported", snap.Version)
-	}
-	cfg := snap.Config
-	if err := validName(cfg.Name); err != nil {
 		return nil, err
-	}
-	if cfg.Name != filepath.Base(dir) {
-		return nil, fmt.Errorf("snapshot names session %q", cfg.Name)
-	}
-
-	s, err := r.bind(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("rebinding: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if snap.Monitor != nil {
-		if err := s.restoreMonitor(snap.Monitor); err != nil {
-			return nil, fmt.Errorf("restoring window state: %w", err)
-		}
-	}
-	s.reports, s.alerts, s.last = snap.Reports, snap.Alerts, snap.Last
-
-	w, recs, err := wal.Open(walPath(dir, snap.WALGen))
+	w, recs, err := wal.Open(walPath(dir, gen))
 	if err != nil {
 		return nil, fmt.Errorf("opening wal: %w", err)
 	}
@@ -329,13 +513,14 @@ func (r *Registry) restoreSession(dir string) (*Session, error) {
 		// diverges from, the pre-crash state.
 		s.feedLocked(epoch, b) //nolint:errcheck
 	}
-	removeStaleWALs(dir, snap.WALGen)
+	removeStaleFiles(dir, gen, !v1)
 	s.store = &sessionStore{
 		dir:          dir,
-		gen:          snap.WALGen,
+		gen:          gen,
 		w:            w,
 		records:      len(recs),
 		compactEvery: r.store.compactEvery,
+		v1:           v1,
 	}
 	// A boot that replayed a long log compacts immediately, so the next
 	// boot starts from the resealed snapshot.
@@ -345,98 +530,161 @@ func (r *Registry) restoreSession(dir string) (*Session, error) {
 	return s, nil
 }
 
+// loadSnapshot binds a session from the snapshot in dir — snapshot.bin, or
+// a v1 snapshot.json when there is none — and reinstates its window state
+// and report ring. It returns the WAL generation the snapshot names, and
+// whether the snapshot was a v1 one.
+func (r *Registry) loadSnapshot(dir string) (s *Session, gen uint64, v1 bool, err error) {
+	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		s, gen, err = r.loadSnapshotV1(dir)
+		return s, gen, true, err
+	}
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("reading snapshot: %w", err)
+	}
+	snap, err := parseSnapshot(raw)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("decoding snapshot: %w", err)
+	}
+	var hdr snapshotHeader
+	if err := json.Unmarshal(snap.header, &hdr); err != nil {
+		return nil, 0, false, fmt.Errorf("decoding snapshot header: %w", err)
+	}
+	if hdr.Version != snapshotVersion {
+		return nil, 0, false, fmt.Errorf("snapshot version %d not supported", hdr.Version)
+	}
+	if hdr.WALGen == 0 {
+		return nil, 0, false, errors.New("snapshot names no WAL generation")
+	}
+	var cfg SessionConfig
+	if err := json.Unmarshal(hdr.Config, &cfg); err != nil {
+		return nil, 0, false, fmt.Errorf("decoding snapshot config: %w", err)
+	}
+	if err := checkSnapshotName(&cfg, dir); err != nil {
+		return nil, 0, false, err
+	}
+	switch {
+	case len(cfg.Reference) > 0:
+		return nil, 0, false, errors.New("snapshot config holds reference rows")
+	case (cfg.Model == "dt") != (len(snap.tree) > 0):
+		return nil, 0, false, fmt.Errorf("snapshot of a %q session holds %d tree bytes", cfg.Model, len(snap.tree))
+	}
+	if s, err = r.bind(cfg, hdr.Config, &snap.pinnedSections); err != nil {
+		return nil, 0, false, fmt.Errorf("rebinding: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.restoreWindow(snap.window); err != nil {
+		return nil, 0, false, fmt.Errorf("restoring window state: %w", err)
+	}
+	s.reports, s.alerts, s.last = hdr.Reports, hdr.Alerts, hdr.Last
+	return s, hdr.WALGen, false, nil
+}
+
+// loadSnapshotV1 is loadSnapshot for a v1 snapshot.json: the reference
+// decodes from the config's JSON rows, a dt tree is grown from it, and the
+// window batches decode from JSON rows.
+func (r *Registry) loadSnapshotV1(dir string) (*Session, uint64, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, snapshotV1File))
+	if err != nil {
+		return nil, 0, fmt.Errorf("reading snapshot: %w", err)
+	}
+	var snap snapshotV1
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		return nil, 0, fmt.Errorf("decoding snapshot: %w", err)
+	}
+	if snap.Version != 1 {
+		return nil, 0, fmt.Errorf("snapshot version %d not supported", snap.Version)
+	}
+	if snap.WALGen == 0 {
+		return nil, 0, errors.New("snapshot names no WAL generation")
+	}
+	if err := checkSnapshotName(&snap.Config, dir); err != nil {
+		return nil, 0, err
+	}
+	s, err := r.bind(snap.Config, nil, nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("rebinding: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if snap.Monitor != nil {
+		if err := s.restoreMonitor(snap.Monitor); err != nil {
+			return nil, 0, fmt.Errorf("restoring window state: %w", err)
+		}
+	}
+	s.reports, s.alerts, s.last = snap.Reports, snap.Alerts, snap.Last
+	return s, snap.WALGen, nil
+}
+
+// checkSnapshotName requires a snapshot's config to name the session
+// directory it sits in.
+func checkSnapshotName(cfg *SessionConfig, dir string) error {
+	if err := validName(cfg.Name); err != nil {
+		return err
+	}
+	if cfg.Name != filepath.Base(dir) {
+		return fmt.Errorf("snapshot names session %q", cfg.Name)
+	}
+	return nil
+}
+
 // sessionDir is the directory of one session's durable state.
 func (st *Store) sessionDir(name string) string {
 	return filepath.Join(st.dir, "sessions", name)
 }
 
-// create initializes the durable state of a new session: its directory, a
-// config-only snapshot, and an empty generation-1 WAL. Stale files from a
-// crashed earlier incarnation of the name are swept first.
-func (st *Store) create(cfg *SessionConfig) (*sessionStore, error) {
-	rawCfg, err := json.Marshal(cfg)
+// sealSnapshot encodes the session's snapshot naming WAL generation gen:
+// its config, the given pinned sections, and the live window state and
+// report ring.
+//
+//lint:holds mu
+func (s *Session) sealSnapshot(gen uint64, pin pinnedSections) ([]byte, error) {
+	header, err := json.Marshal(&snapshotHeader{
+		Version: snapshotVersion,
+		WALGen:  gen,
+		Config:  s.cfgRaw,
+		Reports: s.reports,
+		Alerts:  s.alerts,
+		Last:    s.last,
+	})
 	if err != nil {
 		return nil, err
 	}
-	snap := snapshotJSON{Version: snapshotVersion, WALGen: 1, Config: rawCfg}
-	return st.createFromSnapshot(cfg.Name, &snap)
+	return (&snapshot{header: header, pinnedSections: pin, window: s.appendWindow(nil)}).encode(), nil
 }
 
-// createFromSnapshot initializes a session's durable state from a full
-// snapshot — create's config-only case and Import's sealed-state case
-// share it. The snapshot must name WAL generation 1; stale files from a
-// crashed earlier incarnation of the name are swept first.
-func (st *Store) createFromSnapshot(name string, snap *snapshotJSON) (*sessionStore, error) {
-	dir := st.sessionDir(name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	removeStaleWALs(dir, 0)
-	if err := writeSnapshot(dir, snap); err != nil {
-		return nil, err
-	}
-	w, recs, err := wal.Open(walPath(dir, snap.WALGen))
+// persistNew initializes the durable state of a session just bound by
+// Create or Import: a snapshot of its current state naming WAL generation
+// 1, and that empty generation. Stale files from a crashed earlier
+// incarnation of the name are swept first.
+//
+//lint:holds mu
+func (s *Session) persistNew(st *Store) error {
+	snap, err := s.sealSnapshot(1, s.pinned())
 	if err != nil {
-		return nil, err
+		return err
+	}
+	dir := st.sessionDir(s.name)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	removeStaleFiles(dir, 0, true)
+	if err := writeSnapshot(dir, snap); err != nil {
+		return err
+	}
+	w, recs, err := wal.Open(walPath(dir, 1))
+	if err != nil {
+		return err
 	}
 	if len(recs) > 0 {
 		// Cannot happen: the sweep above removed every generation.
 		w.Close()
-		return nil, fmt.Errorf("fresh wal for %q holds %d records", name, len(recs))
+		return fmt.Errorf("fresh wal for %q holds %d records", s.name, len(recs))
 	}
-	return &sessionStore{dir: dir, gen: snap.WALGen, w: w, compactEvery: st.compactEvery}, nil
-}
-
-// readConfig reads the session's create config back from its on-disk
-// snapshot, as the raw bytes create wrote.
-//
-//lint:holds Session.mu
-func (ss *sessionStore) readConfig() (json.RawMessage, error) {
-	raw, err := os.ReadFile(filepath.Join(ss.dir, snapshotFile))
-	if err != nil {
-		return nil, err
-	}
-	return snapshotConfig(raw)
-}
-
-// snapshotConfig cuts the raw "config" value out of a snapshot's bytes
-// without decoding the rest. json.Marshal wrote the key as it is spelt
-// here and before the window state and report ring, so the scan stops
-// at it.
-func snapshotConfig(raw []byte) (json.RawMessage, error) {
-	sc := jsonscan.New(raw)
-	if !sc.Consume('{') {
-		return nil, fmt.Errorf("snapshot is not a JSON object")
-	}
-	if !sc.Consume('}') {
-		for {
-			key, _, err := sc.String()
-			if err != nil {
-				return nil, err
-			}
-			if !sc.Consume(':') {
-				return nil, sc.Fail("after object key")
-			}
-			if string(key) == `"config"` {
-				val, _, err := sc.Value(1)
-				if err != nil {
-					return nil, err
-				}
-				return val, nil
-			}
-			if err := sc.Skip(1); err != nil {
-				return nil, err
-			}
-			if sc.Consume(',') {
-				continue
-			}
-			if sc.Consume('}') {
-				break
-			}
-			return nil, sc.Fail("after object key:value pair")
-		}
-	}
-	return nil, fmt.Errorf("snapshot holds no config")
+	s.store = &sessionStore{dir: dir, gen: 1, w: w, compactEvery: st.compactEvery}
+	return nil
 }
 
 // remove deletes the named session's durable state.
@@ -477,23 +725,35 @@ func (ss *sessionStore) close() {
 
 // compactLocked reseals the session's WAL into a fresh snapshot carrying
 // the monitor window state and report ring, then rotates to the next WAL
-// generation. Callers hold s.mu; failures leave the current snapshot+WAL
-// pair intact (the log keeps growing until a later compaction succeeds).
+// generation. The config, reference and tree sections are copied from the
+// current snapshot as they are (a session restored from a v1 snapshot
+// encodes them from memory once, and its snapshot.json is removed once
+// the new snapshot is in place). Callers hold s.mu; failures leave the
+// current snapshot+WAL pair intact (the log keeps growing until a later
+// compaction succeeds).
 //
 //lint:holds mu Session.mu
 func (s *Session) compactLocked() {
 	ss := s.store
-	ms, err := s.exportMonitor()
-	if err != nil {
-		return
-	}
-	// The config travels snapshot-to-snapshot as raw bytes rather than
-	// being pinned in memory for the session's lifetime.
-	cfg, err := ss.readConfig()
-	if err != nil {
-		return
+	var pin pinnedSections
+	if ss.v1 {
+		pin = s.pinned()
+	} else {
+		raw, err := os.ReadFile(filepath.Join(ss.dir, snapshotFile))
+		if err != nil {
+			return
+		}
+		prev, err := parseSnapshot(raw)
+		if err != nil {
+			return
+		}
+		pin = prev.pinnedSections
 	}
 	newGen := ss.gen + 1
+	snap, err := s.sealSnapshot(newGen, pin)
+	if err != nil {
+		return
+	}
 	// Create the next generation before publishing the snapshot that names
 	// it: a crash in between leaves an extra empty log, never a snapshot
 	// whose generation is missing records.
@@ -511,19 +771,14 @@ func (s *Session) compactLocked() {
 			return
 		}
 	}
-	snap := snapshotJSON{
-		Version: snapshotVersion,
-		WALGen:  newGen,
-		Config:  cfg,
-		Monitor: ms,
-		Reports: s.reports,
-		Alerts:  s.alerts,
-		Last:    s.last,
-	}
-	if err := writeSnapshot(ss.dir, &snap); err != nil {
+	if err := writeSnapshot(ss.dir, snap); err != nil {
 		nw.Close()
 		os.Remove(walPath(ss.dir, newGen))
 		return
+	}
+	if ss.v1 {
+		os.Remove(filepath.Join(ss.dir, snapshotV1File))
+		ss.v1 = false
 	}
 	ss.w.Close()
 	os.Remove(walPath(ss.dir, ss.gen))
@@ -532,11 +787,7 @@ func (s *Session) compactLocked() {
 
 // writeSnapshot atomically replaces the session snapshot: temp file,
 // fsync, rename.
-func writeSnapshot(dir string, snap *snapshotJSON) error {
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
+func writeSnapshot(dir string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, snapshotFile+".tmp-*")
 	if err != nil {
 		return err
@@ -568,9 +819,10 @@ func walPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal.%06d.log", gen))
 }
 
-// removeStaleWALs sweeps WAL generations other than keep (0 keeps none)
-// and leftover snapshot temp files.
-func removeStaleWALs(dir string, keep uint64) {
+// removeStaleFiles sweeps WAL generations other than keep (0 keeps none),
+// leftover snapshot temp files and, when v2 is set (the session's
+// snapshot is snapshot.bin), a v1 snapshot.json a crash left behind.
+func removeStaleFiles(dir string, keep uint64, v2 bool) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -582,7 +834,8 @@ func removeStaleWALs(dir string, keep uint64) {
 	for _, e := range entries {
 		name := e.Name()
 		stale := strings.HasPrefix(name, "wal.") && strings.HasSuffix(name, ".log") && name != keepName ||
-			strings.HasPrefix(name, snapshotFile+".tmp-")
+			strings.HasPrefix(name, "snapshot.") && strings.Contains(name, ".tmp-") ||
+			v2 && name == snapshotV1File
 		if stale {
 			os.Remove(filepath.Join(dir, name))
 		}

@@ -1,8 +1,10 @@
 package serve_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -10,7 +12,9 @@ import (
 	"sync"
 	"testing"
 
+	"focus/internal/dataset"
 	"focus/internal/serve"
+	"focus/internal/txn"
 )
 
 // durableKind is one cell of the restore-equivalence matrix: a session
@@ -331,7 +335,7 @@ func TestDurableUnrestorableSkipped(t *testing.T) {
 	if err := os.MkdirAll(bad, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(bad, "snapshot.json"), []byte("not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(bad, "snapshot.bin"), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -466,23 +470,62 @@ func TestClosedSessionHandle(t *testing.T) {
 	}
 }
 
-// snapshotConfigBytes reads the raw config value of a session's snapshot.
+// snapshotConfigBytes reads the raw config value of a session's snapshot:
+// the "config" of the JSON header section that follows the 8-byte magic.
 func snapshotConfigBytes(t *testing.T, dir, name string) string {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join(dir, "sessions", name, "snapshot.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "sessions", name, "snapshot.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	n, k := binary.Uvarint(raw[8:])
+	if k <= 0 || uint64(len(raw)-8-k) < n {
+		t.Fatalf("snapshot header malformed")
+	}
+	var header map[string]json.RawMessage
+	if err := json.Unmarshal(raw[8+k:8+k+int(n)], &header); err != nil {
 		t.Fatal(err)
 	}
-	return string(snap["config"])
+	return string(header["config"])
+}
+
+// referenceValues renders a config's reference rows by value: every tuple
+// value's float64 bits, or every transaction's normalized item ids.
+func referenceValues(t *testing.T, cfg serve.SessionConfig) string {
+	t.Helper()
+	var out []string
+	if cfg.Model == "lits" {
+		var rows [][]txn.Item
+		if err := json.Unmarshal(cfg.Reference, &rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			out = append(out, fmt.Sprint(txn.Transaction(row).Normalize()))
+		}
+		return strings.Join(out, ";")
+	}
+	schema, err := cfg.Schema.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dataset.NewTupleDecoder(schema).DecodeRows(cfg.Reference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tu := range d.Tuples {
+		for _, v := range tu {
+			out = append(out, fmt.Sprintf("%x", math.Float64bits(v)))
+		}
+		out = append(out, ";")
+	}
+	return strings.Join(out, " ")
 }
 
 // TestCompactionKeepsConfigBytes pins that the config a session was
-// created with travels unchanged: compaction carries the bytes create
-// wrote into each new snapshot, and Export ships the same bytes.
+// created with travels unchanged: create writes it without its reference
+// rows, compaction carries those bytes into each new snapshot, and Export
+// ships the same bytes plus the reference rows, encoded back from the
+// decoded ones with every value bit-identical.
 func TestCompactionKeepsConfigBytes(t *testing.T) {
 	for _, k := range durableKinds() {
 		t.Run(k.name, func(t *testing.T) {
@@ -497,8 +540,10 @@ func TestCompactionKeepsConfigBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			noRef := cfg
+			noRef.Reference = nil
 			wrote := snapshotConfigBytes(t, dir, cfg.Name)
-			if want, _ := json.Marshal(&cfg); wrote != string(want) {
+			if want, _ := json.Marshal(&noRef); wrote != string(want) {
 				t.Fatalf("create wrote config %s, want %s", wrote, want)
 			}
 			for i := 0; i < 5; i++ {
@@ -514,8 +559,19 @@ func TestCompactionKeepsConfigBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(exp.Config) != wrote {
-				t.Fatalf("exported config %s, create wrote %s", exp.Config, wrote)
+			var got serve.SessionConfig
+			if err := json.Unmarshal(exp.Config, &got); err != nil {
+				t.Fatal(err)
+			}
+			gotNoRef := got
+			gotNoRef.Reference = nil
+			if raw, _ := json.Marshal(&gotNoRef); string(raw) != wrote {
+				t.Fatalf("exported config %s, create wrote %s", raw, wrote)
+			}
+			if len(got.Reference) != 0 || len(cfg.Reference) != 0 {
+				if g, w := referenceValues(t, got), referenceValues(t, cfg); g != w {
+					t.Fatalf("exported reference values\n%s\nwant\n%s", g, w)
+				}
 			}
 		})
 	}

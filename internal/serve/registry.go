@@ -22,7 +22,6 @@ import (
 	"focus/internal/apriori"
 	"focus/internal/cluster"
 	"focus/internal/core"
-	"focus/internal/dataset"
 	"focus/internal/dtree"
 	"focus/internal/stream"
 	"focus/internal/txn"
@@ -76,11 +75,11 @@ type Session struct {
 	mu       sync.Mutex
 	closed   bool // deleted: feeds and queries answer 404, nothing persists; guarded by mu
 	draining bool // migration drain: feeds answer 503 with Retry-After until Resume; guarded by mu
-	// cfgRaw pins the create-time config of an in-memory session so it
-	// stays exportable for migration; durable sessions leave it nil and
-	// read the config back from their on-disk snapshot instead (pinning it
-	// here too would hold a second copy of the reference rows for the
-	// session's lifetime). Guarded by mu.
+	// cfgRaw is the session's create config without its reference rows,
+	// as json.Marshal wrote it at create (or as a v2 snapshot holds it):
+	// what a snapshot header carries and Export rebuilds the full config
+	// from. The reference itself lives in the monitor's reference window.
+	// Set by bind, immutable.
 	cfgRaw json.RawMessage
 	// decode turns wire rows into a batch of the session's model class (a
 	// 400 when they do not decode or hold no row); ingest advances the
@@ -96,9 +95,19 @@ type Session struct {
 
 	store *sessionStore // nil: in-memory session; guarded by mu
 	// exportMonitor and restoreMonitor bridge the generic monitor state to
-	// its JSON snapshot form; bindSession installs them per model class.
+	// its JSON form (exports, and v1 snapshots); appendWindow and
+	// restoreWindow to its binary form in a snapshot. bindSession installs
+	// them per model class.
 	exportMonitor  func() (*monitorStateJSON, error)
 	restoreMonitor func(*monitorStateJSON) error
+	appendWindow   func(buf []byte) []byte
+	restoreWindow  func(b []byte) error
+	// pinned encodes the pinned reference rows and, for dt sessions, the
+	// pinned tree in their snapshot form (nil when absent); refJSON renders
+	// the reference rows as the JSON rows of a create config (nil when the
+	// session has none).
+	pinned  func() pinnedSections
+	refJSON func() (json.RawMessage, error)
 	// appendRecord frames a decoded feed as a binary WAL record;
 	// readRecord reads one back (see persist.go for the format).
 	appendRecord func(buf []byte, epoch *int64, b batch) []byte
@@ -147,31 +156,22 @@ func (r *Registry) Create(cfg SessionConfig) (*Session, error) {
 		r.mu.Unlock()
 	}
 
-	s, err := r.bind(cfg)
+	s, err := r.bind(cfg, nil, nil)
 	if err != nil {
 		unreserve()
 		return nil, err
 	}
 	if r.store != nil {
-		ss, err := r.store.create(&cfg)
-		if err != nil {
-			unreserve()
-			return nil, fmt.Errorf("persisting session %q: %w", cfg.Name, err)
-		}
 		// The session is not yet published, but install the store under its
 		// lock anyway: the invariant "s.store moves only under s.mu" then
 		// holds unconditionally instead of leaning on the publication
 		// ordering through r.mu below.
 		s.mu.Lock()
-		s.store = ss
+		err := s.persistNew(r.store)
 		s.mu.Unlock()
-	} else {
-		// In-memory sessions pin their config so Export can ship it during
-		// a migration; durable sessions read it from the snapshot instead.
-		if raw, err := json.Marshal(&cfg); err == nil {
-			s.mu.Lock()
-			s.cfgRaw = raw
-			s.mu.Unlock()
+		if err != nil {
+			unreserve()
+			return nil, fmt.Errorf("persisting session %q: %w", cfg.Name, err)
 		}
 	}
 	r.mu.Lock()
@@ -187,17 +187,30 @@ func duplicate(name string) error {
 
 // bind builds the session's model class, monitor and codec closures from a
 // validated-name config — the expensive part of Create, run outside the
-// registry lock.
-func (r *Registry) bind(cfg SessionConfig) (*Session, error) {
-	s := &Session{name: cfg.Name, model: cfg.Model, max: r.maxReports}
+// registry lock. A session restoring from a v2 snapshot passes the
+// snapshot's raw config (which holds no reference rows) and its pinned
+// sections, so the reference decodes from binary rows and a dt session's
+// tree from its encoding instead of being grown again; otherwise cfgRaw
+// and pin are nil, the reference decodes from cfg.Reference and a dt tree
+// is grown from it.
+func (r *Registry) bind(cfg SessionConfig, cfgRaw json.RawMessage, pin *pinnedSections) (*Session, error) {
+	if cfgRaw == nil {
+		noRef := cfg
+		noRef.Reference = nil
+		var err error
+		if cfgRaw, err = json.Marshal(&noRef); err != nil {
+			return nil, badRequest(err.Error())
+		}
+	}
+	s := &Session{name: cfg.Name, model: cfg.Model, max: r.maxReports, cfgRaw: cfgRaw}
 	var err error
 	switch cfg.Model {
 	case "lits":
-		err = bindLits(s, &cfg)
+		err = bindLits(s, &cfg, pin)
 	case "dt":
-		err = bindDT(s, &cfg)
+		err = bindDT(s, &cfg, pin)
 	case "cluster":
-		err = bindCluster(s, &cfg)
+		err = bindCluster(s, &cfg, pin)
 	default:
 		return nil, badRequest(fmt.Sprintf("unknown model %q (want lits, dt or cluster)", cfg.Model))
 	}
@@ -356,10 +369,29 @@ type rowCodec[D any] struct {
 	decodeBinary func([]byte) (D, error)
 }
 
+// decodeRef decodes a session's reference rows: from the binary section of
+// the snapshot it restores from, or else from the config's JSON rows. ok
+// is false when the session has no reference.
+func decodeRef[D any](codec rowCodec[D], cfg *SessionConfig, pin *pinnedSections) (ref D, ok bool, err error) {
+	switch {
+	case pin != nil && len(pin.ref) > 0:
+		ref, err = codec.decodeBinary(pin.ref)
+	case pin == nil && len(cfg.Reference) > 0:
+		ref, err = codec.decode(cfg.Reference)
+	default:
+		return ref, false, nil
+	}
+	if err != nil {
+		return ref, false, badRequest(fmt.Sprintf("reference: %v", err))
+	}
+	return ref, true, nil
+}
+
 // bindSession wires a monitor of any model class into the session's
 // dynamically typed intake, state and persistence closures — the one
-// generic-to-JSON boundary of the serving layer.
-func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef bool, mcfg core.Config, codec rowCodec[D]) error {
+// generic-to-JSON boundary of the serving layer. tree is a dt session's
+// pinned tree, nil for the other model classes.
+func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef bool, tree *dtree.Tree, mcfg core.Config, codec rowCodec[D]) error {
 	if !hasRef && !mcfg.PreviousWindow {
 		return badRequest("reference rows required unless previous_window is set")
 	}
@@ -454,10 +486,35 @@ func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef b
 		}
 		return mon.RestoreState(st)
 	}
+	s.appendWindow = func(buf []byte) []byte {
+		return appendWindowState(buf, mon.ExportState(), codec.appendBinary)
+	}
+	s.restoreWindow = func(b []byte) error {
+		st, err := parseWindowState(b, codec.decodeBinary)
+		if err != nil {
+			return err
+		}
+		return mon.RestoreState(st)
+	}
+	s.pinned = func() (pin pinnedSections) {
+		if hasRef {
+			pin.ref = codec.appendBinary(nil, ref)
+		}
+		if tree != nil {
+			pin.tree = tree.AppendBinary(nil)
+		}
+		return pin
+	}
+	s.refJSON = func() (json.RawMessage, error) {
+		if !hasRef {
+			return nil, nil
+		}
+		return codec.encode(ref)
+	}
 	return nil
 }
 
-func bindLits(s *Session, cfg *SessionConfig) error {
+func bindLits(s *Session, cfg *SessionConfig, pin *pinnedSections) error {
 	if cfg.NumItems < 1 {
 		return badRequest("lits session requires num_items >= 1")
 	}
@@ -479,16 +536,14 @@ func bindLits(s *Session, cfg *SessionConfig) error {
 	// create payload (including the raw Reference bytes) for the session's
 	// lifetime.
 	codec := txnCodec(cfg.NumItems)
-	var ref *txn.Dataset
-	if len(cfg.Reference) > 0 {
-		if ref, err = codec.decode(cfg.Reference); err != nil {
-			return badRequest(fmt.Sprintf("reference: %v", err))
-		}
+	ref, hasRef, err := decodeRef(codec, cfg, pin)
+	if err != nil {
+		return err
 	}
-	return bindSession(s, core.LitsWithCounter(cfg.MinSupport, counter), ref, ref != nil, mcfg, codec)
+	return bindSession(s, core.LitsWithCounter(cfg.MinSupport, counter), ref, hasRef, nil, mcfg, codec)
 }
 
-func bindDT(s *Session, cfg *SessionConfig) error {
+func bindDT(s *Session, cfg *SessionConfig, pin *pinnedSections) error {
 	schema, err := cfg.Schema.Schema()
 	if err != nil {
 		return badRequest(err.Error())
@@ -501,30 +556,37 @@ func bindDT(s *Session, cfg *SessionConfig) error {
 		return err
 	}
 	codec := tupleCodec(schema)
-	if len(cfg.Reference) == 0 {
-		return badRequest("dt session requires reference rows (the pinned tree is grown from them)")
-	}
-	ref, err := codec.decode(cfg.Reference)
+	ref, hasRef, err := decodeRef(codec, cfg, pin)
 	if err != nil {
-		return badRequest(fmt.Sprintf("reference: %v", err))
+		return err
+	}
+	if !hasRef {
+		return badRequest("dt session requires reference rows (the pinned tree is grown from them)")
 	}
 	search, err := dtree.ParseSplitSearch(cfg.SplitSearch)
 	if err != nil {
 		return badRequest(err.Error())
 	}
-	tree, err := dtree.BuildP(ref, dtree.Config{
+	var tree *dtree.Tree
+	if pin != nil {
+		// The tree grown at create, as the snapshot holds it: a restart
+		// never regrows it, so the pinned structure survives any change of
+		// the tree engine.
+		if tree, err = dtree.DecodeBinary(schema, pin.tree); err != nil {
+			return fmt.Errorf("pinned tree: %w", err)
+		}
+	} else if tree, err = dtree.BuildP(ref, dtree.Config{
 		MaxDepth:    cfg.MaxDepth,
 		MinLeaf:     cfg.MinLeaf,
 		SplitSearch: search,
 		HistBins:    cfg.HistBins,
-	}, cfg.Parallelism)
-	if err != nil {
+	}, cfg.Parallelism); err != nil {
 		return badRequest(fmt.Sprintf("growing pinned tree: %v", err))
 	}
-	return bindSession(s, core.PinnedDT(tree), ref, true, mcfg, codec)
+	return bindSession(s, core.PinnedDT(tree), ref, true, tree, mcfg, codec)
 }
 
-func bindCluster(s *Session, cfg *SessionConfig) error {
+func bindCluster(s *Session, cfg *SessionConfig, pin *pinnedSections) error {
 	schema, err := cfg.Schema.Schema()
 	if err != nil {
 		return badRequest(err.Error())
@@ -553,13 +615,11 @@ func bindCluster(s *Session, cfg *SessionConfig) error {
 		return err
 	}
 	codec := tupleCodec(schema)
-	var ref *dataset.Dataset
-	if len(cfg.Reference) > 0 {
-		if ref, err = codec.decode(cfg.Reference); err != nil {
-			return badRequest(fmt.Sprintf("reference: %v", err))
-		}
+	ref, hasRef, err := decodeRef(codec, cfg, pin)
+	if err != nil {
+		return err
 	}
-	return bindSession(s, core.Cluster(grid, cfg.MinDensity), ref, ref != nil, mcfg, codec)
+	return bindSession(s, core.Cluster(grid, cfg.MinDensity), ref, hasRef, nil, mcfg, codec)
 }
 
 // Feed ingests one batch into the session and returns the emitted report

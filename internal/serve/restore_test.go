@@ -47,7 +47,7 @@ func restoreFixture(t *testing.T) string {
 	if err := os.MkdirAll(bad, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(bad, "snapshot.json"), []byte("not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(bad, "snapshot.bin"), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	logs, err := filepath.Glob(filepath.Join(dir, "sessions", "dt-1", "wal.*.log"))
@@ -127,11 +127,12 @@ func TestParallelRestoreDeterministic(t *testing.T) {
 
 // openRegistryFixture is a member's data dir as feed-durable leaves it at
 // a restart: cluster and pinned-dt sessions of 64-row batches, each with
-// about 100 logged feeds and no compaction yet.
-func openRegistryFixture(b *testing.B, sessions, feeds int) string {
+// the given number of logged feeds, compacted every compactEvery records
+// (0: the default, so 100 feeds leave no compaction yet).
+func openRegistryFixture(b *testing.B, sessions, feeds, compactEvery int) string {
 	b.Helper()
 	dir := b.TempDir()
-	r, _, err := serve.OpenRegistry(dir, 0)
+	r, _, err := serve.OpenRegistry(dir, compactEvery)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,12 +185,35 @@ func openRegistryFixture(b *testing.B, sessions, feeds int) string {
 }
 
 // BenchmarkOpenRegistry restores 16 sessions (8 cluster, 8 pinned-dt) of
-// 100 logged 64-row feeds each: snapshot decode, rebinding (growing the
-// pinned trees) and WAL replay, on the default restore pool. A restore
-// below the compaction threshold leaves the dir as it found it, so every
-// iteration opens the same state.
+// 100 logged 64-row feeds each: snapshot decode, rebinding (decoding the
+// reference rows and pinned trees) and WAL replay, on the default restore
+// pool. A restore below the compaction threshold leaves the dir as it
+// found it, so every iteration opens the same state.
 func BenchmarkOpenRegistry(b *testing.B) {
-	dir := openRegistryFixture(b, 16, 100)
+	dir := openRegistryFixture(b, 16, 100, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, warns, err := serve.OpenRegistry(dir, 0)
+		if err != nil || len(warns) > 0 {
+			b.Fatalf("open: %v %v", err, warns)
+		}
+		b.StopTimer()
+		r.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkOpenRegistryCompacted restores the sessions of
+// BenchmarkOpenRegistry after their logs were compacted: each snapshot
+// carries four window batches of 64 rows and 100 reports, and no WAL
+// record is left to replay.
+func BenchmarkOpenRegistryCompacted(b *testing.B) {
+	dir := openRegistryFixture(b, 16, 100, 50)
+	names, err := filepath.Glob(filepath.Join(dir, "sessions", "*", "wal.000003.log"))
+	if err != nil || len(names) != 16 {
+		b.Fatalf("want 16 twice-compacted sessions, got %d: %v", len(names), err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

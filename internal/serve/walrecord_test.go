@@ -153,23 +153,3 @@ func TestBinaryRecordRejects(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotConfig pins the config cut: the raw value of the first
-// "config" key, whatever precedes it, and an error without one.
-func TestSnapshotConfig(t *testing.T) {
-	for _, c := range []struct{ snap, want string }{
-		{`{"version":1,"wal_gen":3,"config":{"name":"a","reference":[[1]]},"monitor":{"epoch":1}}`, `{"name":"a","reference":[[1]]}`},
-		{` { "x" : [1, {"config": 2}], "config" : {"k": "}"} } `, `{"k": "}"}`},
-		{`{"config":null}`, `null`},
-	} {
-		got, err := snapshotConfig([]byte(c.snap))
-		if err != nil || string(got) != c.want {
-			t.Errorf("%s: config %s, %v; want %s", c.snap, got, err, c.want)
-		}
-	}
-	for _, bad := range []string{``, `[]`, `{}`, `{"version":1}`, `{"Config":{}}`, `{"config":`, `{"x":1 "config":{}}`} {
-		if got, err := snapshotConfig([]byte(bad)); err == nil {
-			t.Errorf("%s: config %s, want an error", bad, got)
-		}
-	}
-}
