@@ -414,20 +414,3 @@ func (d *Dataset) WriteJSONL(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// AppendJSONRows appends the dataset as one JSON array of the row objects
-// WriteJSONL writes, which DecodeRows reads back bit-identically.
-func (d *Dataset) AppendJSONRows(buf []byte) ([]byte, error) {
-	e := newRowEncoder(d.Schema)
-	buf = append(buf, '[')
-	for i, t := range d.Tuples {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		var err error
-		if buf, err = e.appendRow(buf, i, t); err != nil {
-			return nil, err
-		}
-	}
-	return append(buf, ']'), nil
-}

@@ -283,10 +283,21 @@ func TestDecodeTupleRowsNestingLimit(t *testing.T) {
 	}
 }
 
-// TestRowEncoderBytes pins WriteJSONL, and AppendJSONRows as the same rows
-// joined into one array, to the bytes of the encoder that quoted every name
-// per tuple — names and values that need escaping included — and checks
-// that the rows decode back bit-identically.
+// jsonRows joins WriteJSONL's rows into one JSON array: the rows of a
+// focusd batch.
+func jsonRows(tb testing.TB, d *dataset.Dataset) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := d.WriteJSONL(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return []byte("[" + strings.ReplaceAll(strings.TrimSuffix(buf.String(), "\n"), "\n", ",") + "]")
+}
+
+// TestRowEncoderBytes pins WriteJSONL to the bytes of the encoder that
+// quoted every name per tuple — names and values that need escaping
+// included — and checks that its rows, joined into one array, decode back
+// bit-identically.
 func TestRowEncoderBytes(t *testing.T) {
 	s := dataset.NewSchema(
 		dataset.Attribute{Name: `x"<&>` + " ", Kind: dataset.Numeric, Min: -10, Max: 10},
@@ -309,15 +320,7 @@ func TestRowEncoderBytes(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("WriteJSONL, %d rows:\n got %s\nwant %s", n, got.Bytes(), want.Bytes())
 		}
-		rows, err := part.AppendJSONRows(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joined := "[" + strings.ReplaceAll(strings.TrimSuffix(want.String(), "\n"), "\n", ",") + "]"
-		if string(rows) != joined {
-			t.Fatalf("AppendJSONRows, %d rows:\n got %s\nwant %s", n, rows, joined)
-		}
-		back, err := dataset.NewTupleDecoder(s).DecodeRows(rows)
+		back, err := dataset.NewTupleDecoder(s).DecodeRows(jsonRows(t, part))
 		if err != nil {
 			t.Fatalf("%d rows: decoding the encoded rows: %v", n, err)
 		}
@@ -329,9 +332,8 @@ func TestRowEncoderBytes(t *testing.T) {
 	bad.Tuples = []dataset.Tuple{{0, 7}}
 	err := bad.WriteJSONL(io.Discard)
 	werr := oracleWriteJSONL(bad, io.Discard)
-	_, aerr := bad.AppendJSONRows(nil)
-	if err == nil || werr == nil || err.Error() != werr.Error() || aerr == nil || aerr.Error() != werr.Error() {
-		t.Fatalf("out-of-domain value: err %v, AppendJSONRows err %v, want %v", err, aerr, werr)
+	if err == nil || werr == nil || err.Error() != werr.Error() {
+		t.Fatalf("out-of-domain value: err %v, want %v", err, werr)
 	}
 }
 
@@ -343,10 +345,7 @@ func BenchmarkDecodeTupleRows(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		d.Tuples = append(d.Tuples, dataset.Tuple{float64(i) / 6.7, float64(i % 2), float64(i / 7 % 2)})
 	}
-	raw, err := d.AppendJSONRows(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	raw := jsonRows(b, d)
 	td := dataset.NewTupleDecoder(s)
 	b.Run("scanner", func(b *testing.B) {
 		b.ReportAllocs()
@@ -379,11 +378,7 @@ func TestDecodeRowsConcurrent(t *testing.T) {
 		for i := 0; i < 10+b*7; i++ {
 			d.Tuples = append(d.Tuples, dataset.Tuple{float64(i*b%10) / 3, float64(i % 2), float64(b % 2)})
 		}
-		raw, err := d.AppendJSONRows(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws, want = append(raws, raw), append(want, d)
+		raws, want = append(raws, jsonRows(t, d)), append(want, d)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

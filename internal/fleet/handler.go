@@ -23,8 +23,7 @@ type errorResponse struct {
 //	GET    /v1/summary                  fleet-merged drift summary (ShardSummary shape)
 //	GET    /v1/sessions                 merged session list (scatter-gather)
 //	POST   /v1/sessions                 create, routed to the ring owner of the name
-//	POST   /v1/sessions/import          import, routed to the ring owner of the config name
-//	*      /v1/sessions/{name}[/...]    proxied verbatim to the ring owner
+//	*      /v1/sessions/{name}[/...]    proxied verbatim to the ring owner (export and import included)
 //	GET    /v1/fleet/summary            merged summary + per-member breakdown
 //	GET    /v1/fleet/members            member health + session counts
 //	POST   /v1/fleet/members            join a member ({"addr"} body) and rebalance onto it
@@ -52,29 +51,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, req *http.Request) {
 		// The create body names the session, and the name picks the shard:
 		// buffer the body, peek the name, forward the original bytes.
-		body, name, err := peekName(w, req, func(doc []byte) (string, error) {
-			var cfg struct {
-				Name string `json:"name"`
-			}
-			err := json.Unmarshal(doc, &cfg)
-			return cfg.Name, err
-		})
-		if err != nil {
-			writeRouteError(w, err)
-			return
-		}
-		rt.proxySession(w, req, name, body)
-	})
-	mux.HandleFunc("POST /v1/sessions/import", func(w http.ResponseWriter, req *http.Request) {
-		body, name, err := peekName(w, req, func(doc []byte) (string, error) {
-			var exp struct {
-				Config struct {
-					Name string `json:"name"`
-				} `json:"config"`
-			}
-			err := json.Unmarshal(doc, &exp)
-			return exp.Config.Name, err
-		})
+		body, name, err := peekName(w, req)
 		if err != nil {
 			writeRouteError(w, err)
 			return
@@ -89,6 +66,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{name}/batches", proxyByName)
 	mux.HandleFunc("GET /v1/sessions/{name}/reports", proxyByName)
 	mux.HandleFunc("POST /v1/sessions/{name}/export", proxyByName)
+	mux.HandleFunc("POST /v1/sessions/{name}/import", proxyByName)
 	mux.HandleFunc("POST /v1/sessions/{name}/resume", proxyByName)
 	mux.HandleFunc("GET /v1/fleet/members", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"members": rt.MemberStatuses()})
@@ -126,9 +104,9 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// peekName buffers the request body and extracts the routing name from it
-// via extract; the buffered bytes are returned for forwarding.
-func peekName(w http.ResponseWriter, req *http.Request, extract func([]byte) (string, error)) ([]byte, string, error) {
+// peekName buffers a create request's body and extracts the session name
+// from it; the buffered bytes are returned for forwarding.
+func peekName(w http.ResponseWriter, req *http.Request) ([]byte, string, error) {
 	doc, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -137,14 +115,16 @@ func peekName(w http.ResponseWriter, req *http.Request, extract func([]byte) (st
 		}
 		return nil, "", &routeError{code: http.StatusBadRequest, msg: fmt.Sprintf("reading request body: %v", err)}
 	}
-	name, err := extract(doc)
-	if err != nil {
+	var cfg struct {
+		Name string `json:"name"`
+	}
+	if err := json.Unmarshal(doc, &cfg); err != nil {
 		return nil, "", &routeError{code: http.StatusBadRequest, msg: fmt.Sprintf("decoding request body: %v", err)}
 	}
-	if name == "" {
+	if cfg.Name == "" {
 		return nil, "", &routeError{code: http.StatusBadRequest, msg: "name required"}
 	}
-	return doc, name, nil
+	return doc, cfg.Name, nil
 }
 
 // proxySession forwards the request to the ring owner of name. With body
@@ -153,7 +133,7 @@ func peekName(w http.ResponseWriter, req *http.Request, extract func([]byte) (st
 // status, body, Content-Type, Retry-After — is relayed verbatim, so a
 // drain 503 reaches the client with its Retry-After intact.
 func (rt *Router) proxySession(w http.ResponseWriter, req *http.Request, name string, body []byte) {
-	m, err := rt.sessionMember(name)
+	m, err := rt.sessionMember(req.Context(), name)
 	if err != nil {
 		writeRouteError(w, err)
 		return

@@ -114,10 +114,10 @@ func (m *Member) SessionNames() ([]string, error) {
 	return names, nil
 }
 
-// Export seals the named session on the member and returns the opaque
-// export document; with drain set the session stops accepting feeds until
-// resumed, imported elsewhere and deleted, or the member restarts.
-func (m *Member) Export(name string, drain bool) (json.RawMessage, error) {
+// Export seals the named session on the member and returns its opaque
+// image; with drain set the session stops accepting feeds until resumed,
+// imported elsewhere and deleted, or the member restarts.
+func (m *Member) Export(name string, drain bool) ([]byte, error) {
 	path := "/v1/sessions/" + url.PathEscape(name) + "/export"
 	if drain {
 		path += "?drain=1"
@@ -137,16 +137,18 @@ func (m *Member) Export(name string, drain bool) (json.RawMessage, error) {
 	return body, nil
 }
 
-// Import registers an exported session document on the member.
-func (m *Member) Import(doc json.RawMessage) error {
-	resp, err := m.client.Post(m.base+"/v1/sessions/import", "application/json", bytes.NewReader(doc))
+// Import registers the named session on the member from the image another
+// member exported. A member that cannot read the image refuses it with a
+// 4xx, returned as an error.
+func (m *Member) Import(name string, image []byte) error {
+	resp, err := m.client.Post(m.base+"/v1/sessions/"+url.PathEscape(name)+"/import", "application/octet-stream", bytes.NewReader(image))
 	if err != nil {
 		return m.errorf("%v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return m.errorf("import: status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return m.errorf("import %s: status %d: %s", name, resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	return nil

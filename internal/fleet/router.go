@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,8 +13,8 @@ import (
 )
 
 // maxBodyBytes bounds buffered request bodies on the routing path, matching
-// the member-side cap: the router must read a create/import body to learn
-// the session name before it can pick the owning shard.
+// the member-side cap: the router must read a create body to learn the
+// session name before it can pick the owning shard.
 const maxBodyBytes = 64 << 20
 
 // Router fronts a fleet of focusd members with the same HTTP API a single
@@ -79,8 +80,8 @@ func (rt *Router) Members() []*Member {
 }
 
 // sessionMember resolves the owning member of a session name, waiting out
-// any in-flight migration of that session first.
-func (rt *Router) sessionMember(name string) (*Member, error) {
+// any in-flight migration of that session first, or until ctx is done.
+func (rt *Router) sessionMember(ctx context.Context, name string) (*Member, error) {
 	for {
 		rt.mu.Lock()
 		gate := rt.migrating[name]
@@ -94,7 +95,11 @@ func (rt *Router) sessionMember(name string) (*Member, error) {
 			return m, nil
 		}
 		rt.mu.Unlock()
-		<-gate
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, &routeError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("session %q is migrating: %v", name, ctx.Err())}
+		}
 	}
 }
 
@@ -135,7 +140,9 @@ func (e *routeError) Error() string { return e.msg }
 // the session keeps serving on its old host and the next rebalance
 // retries. No-op when from already owns the session.
 func (rt *Router) Migrate(name string, from *Member) error {
-	to, err := rt.sessionMember(name)
+	// Membership changes migrate under adminMu, the only path that opens a
+	// gate, so this never waits.
+	to, err := rt.sessionMember(context.Background(), name)
 	if err != nil {
 		return err
 	}
@@ -146,11 +153,11 @@ func (rt *Router) Migrate(name string, from *Member) error {
 		return fmt.Errorf("session %q is already migrating", name)
 	}
 	defer rt.endMigration(name)
-	doc, err := from.Export(name, true)
+	image, err := from.Export(name, true)
 	if err != nil {
 		return fmt.Errorf("exporting %q from %s: %w", name, from.Addr(), err)
 	}
-	if err := to.Import(doc); err != nil {
+	if err := to.Import(name, image); err != nil {
 		if rerr := from.Resume(name); rerr != nil {
 			return fmt.Errorf("importing %q on %s: %w (and resume on %s failed: %v)", name, to.Addr(), err, from.Addr(), rerr)
 		}
@@ -238,7 +245,7 @@ func (rt *Router) rebalanceLocked() (int, error) {
 			continue
 		}
 		for _, name := range names {
-			owner, err := rt.sessionMember(name)
+			owner, err := rt.sessionMember(context.Background(), name)
 			if err != nil {
 				errs = append(errs, err)
 				continue

@@ -534,3 +534,55 @@ func TestRouterMemberStatuses(t *testing.T) {
 		t.Fatalf("live members report no sessions")
 	}
 }
+
+// TestRouterRefusedImportResumes migrates a session onto a member that
+// refuses its image with a 400, as a member of an older version refuses
+// an image of a newer one: the migration fails, and the drained session
+// resumes on its source with its reports intact and intake open.
+func TestRouterRefusedImportResumes(t *testing.T) {
+	src := httptest.NewServer(serve.NewRegistry().Handler())
+	t.Cleanup(src.Close)
+	older := serve.NewRegistry().Handler()
+	refuser := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if strings.HasSuffix(req.URL.Path, "/import") {
+			http.Error(w, `{"error":"snapshot version 3 not supported"}`, http.StatusBadRequest)
+			return
+		}
+		older.ServeHTTP(w, req)
+	}))
+	t.Cleanup(refuser.Close)
+	srcAddr, refuserAddr := strings.TrimPrefix(src.URL, "http://"), strings.TrimPrefix(refuser.URL, "http://")
+
+	// A session the ring places on the refusing member, hosted on src.
+	ring := fleet.NewRing(0)
+	ring.Add(srcAddr)
+	ring.Add(refuserAddr)
+	name := ""
+	for i := 0; name == ""; i++ {
+		if n := fmt.Sprintf("s-%d", i); ring.Owner(n) == refuserAddr {
+			name = n
+		}
+	}
+	if status, _, body := request(t, src.URL, http.MethodPost, "/v1/sessions", clusterSession(name)); status != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", status, body)
+	}
+	if status, _, body := request(t, src.URL, http.MethodPost, "/v1/sessions/"+name+"/batches", feedBody(1, 1)); status != http.StatusOK {
+		t.Fatalf("feed: status %d: %s", status, body)
+	}
+	_, _, before := request(t, src.URL, http.MethodGet, "/v1/sessions/"+name+"/reports", "")
+
+	rt := fleet.NewRouter([]string{srcAddr, refuserAddr}, 0, nil)
+	err := rt.Migrate(name, fleet.NewMember(srcAddr, nil))
+	if err == nil || !strings.Contains(err.Error(), "status 400") || !strings.Contains(err.Error(), "resumed on "+srcAddr) {
+		t.Fatalf("migration onto a refusing member: %v, want a refused import resumed on the source", err)
+	}
+	if _, _, after := request(t, src.URL, http.MethodGet, "/v1/sessions/"+name+"/reports", ""); after != before {
+		t.Fatalf("reports changed across the refused migration:\n before: %s\n after:  %s", before, after)
+	}
+	if status, _, body := request(t, src.URL, http.MethodPost, "/v1/sessions/"+name+"/batches", feedBody(2, 2)); status != http.StatusOK {
+		t.Fatalf("feed on the source after the rollback: status %d: %s", status, body)
+	}
+	if names := sessionNames(t, refuser); len(names) != 0 {
+		t.Fatalf("the refusing member hosts %v", names)
+	}
+}

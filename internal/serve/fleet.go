@@ -144,80 +144,29 @@ func (r *Registry) WriteList(w io.Writer) error {
 	return err
 }
 
-// exportVersion is the version of the SessionExport document. It is not
-// the snapshot format version: members of different versions exchange
-// exports during a rolling upgrade, so it changes only with the document.
-const exportVersion = 1
-
-// SessionExport is the transferable form of one session: its create-time
-// config plus the sealed live state — window batches, report ring and
-// counters — exactly what a compaction would bake into the on-disk
-// snapshot, with the WAL tail already folded in. A session imported from
-// it resumes bit-identically: reports, alerts and the qualification RNG
-// stream all continue as if the session had never moved.
-type SessionExport struct {
-	Version int               `json:"version"`
-	Config  json.RawMessage   `json:"config"`
-	Monitor *monitorStateJSON `json:"monitor,omitempty"`
-	Reports []ReportJSON      `json:"reports,omitempty"`
-	Alerts  int               `json:"alerts,omitempty"`
-	Last    *ReportJSON       `json:"last,omitempty"`
-}
-
-// Export seals the session's live state into a transferable document.
-// With drain set the session additionally stops accepting feeds (503 with
-// Retry-After) until Resume, Delete, or process exit — the migration
-// window: nothing can mutate the state between the export and the moment
-// the new owner takes over. A deleted session answers 404.
-func (s *Session) Export(drain bool) (*SessionExport, error) {
+// Export seals the session's live state into its image: the snapshot a
+// compaction would write, with the WAL tail already folded in and no WAL
+// generation named (see persist.go). A session imported from it resumes
+// bit-identically: reports, alerts and the qualification RNG stream all
+// continue as if the session had never moved. With drain set the session
+// additionally stops accepting feeds (503 with Retry-After) until Resume,
+// Delete, or process exit — the migration window: nothing can mutate the
+// state between the export and the moment the new owner takes over. A
+// deleted session answers 404.
+func (s *Session) Export(drain bool) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, notFound(s.name)
 	}
-	cfg, err := s.exportConfig()
+	img, err := s.sealSnapshot(0, s.pinned())
 	if err != nil {
-		return nil, fmt.Errorf("exporting config: %w", err)
-	}
-	ms, err := s.exportMonitor()
-	if err != nil {
-		return nil, fmt.Errorf("exporting window state: %w", err)
-	}
-	exp := &SessionExport{
-		Version: exportVersion,
-		Config:  cfg,
-		Monitor: ms,
-		Alerts:  s.alerts,
-	}
-	if len(s.reports) > 0 {
-		exp.Reports = make([]ReportJSON, len(s.reports))
-		copy(exp.Reports, s.reports)
-	}
-	if s.last != nil {
-		cp := *s.last
-		exp.Last = &cp
+		return nil, fmt.Errorf("sealing session image: %w", err)
 	}
 	if drain {
 		s.draining = true
 	}
-	return exp, nil
-}
-
-// exportConfig rebuilds the session's create config: the config without
-// its reference, with the reference rows encoded back from the decoded
-// ones the monitor holds. Their values are bit-identical to the rows the
-// session was created with; the bytes need not be the client's.
-func (s *Session) exportConfig() (json.RawMessage, error) {
-	ref, err := s.refJSON()
-	if err != nil || ref == nil {
-		return s.cfgRaw, err
-	}
-	var cfg SessionConfig
-	if err := json.Unmarshal(s.cfgRaw, &cfg); err != nil {
-		return nil, err
-	}
-	cfg.Reference = ref
-	return json.Marshal(&cfg)
+	return img, nil
 }
 
 // Resume lifts a migration drain: feeds are accepted again. It is the
@@ -233,67 +182,20 @@ func (s *Session) Resume() error {
 	return nil
 }
 
-// Import registers a session from an exported document: the config is
-// rebound exactly as Create would, then the sealed window state, report
-// ring and counters are reinstated. On a durable registry the imported
-// state is persisted as a full snapshot plus a fresh WAL generation
-// before the session is published, so a crash immediately after the
-// import acknowledgement loses nothing. The usual Create errors apply
-// (400 on bad config, 409 on a name collision).
-func (r *Registry) Import(exp *SessionExport) (*Session, error) {
-	if exp.Version != exportVersion {
-		return nil, badRequest(fmt.Sprintf("export version %d not supported", exp.Version))
-	}
-	var cfg SessionConfig
-	if err := json.Unmarshal(exp.Config, &cfg); err != nil {
-		return nil, badRequest(fmt.Sprintf("decoding exported config: %v", err))
-	}
-	if err := validName(cfg.Name); err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if _, ok := r.sessions[cfg.Name]; ok {
-		r.mu.Unlock()
-		return nil, duplicate(cfg.Name)
-	}
-	if _, ok := r.reserved[cfg.Name]; ok {
-		r.mu.Unlock()
-		return nil, duplicate(cfg.Name)
-	}
-	r.reserved[cfg.Name] = struct{}{}
-	r.mu.Unlock()
-	unreserve := func() {
-		r.mu.Lock()
-		delete(r.reserved, cfg.Name)
-		r.mu.Unlock()
-	}
-
-	s, err := r.bind(cfg, nil, nil)
-	if err != nil {
-		unreserve()
-		return nil, err
-	}
-	s.mu.Lock()
-	if exp.Monitor != nil {
-		if err := s.restoreMonitor(exp.Monitor); err != nil {
-			s.mu.Unlock()
-			unreserve()
-			return nil, badRequest(fmt.Sprintf("restoring window state: %v", err))
+// Import registers the session name from its image: any image restore
+// accepts, whatever WAL generation it names — an export of this version,
+// or the version-1 JSON export document of older members. The image's
+// config must name the session name. On a durable registry the imported
+// state is persisted as a full snapshot plus a fresh WAL generation before
+// the session is published, so a crash immediately after the import
+// acknowledgement loses nothing. An image that does not bind answers 400
+// (an unsupported version included), a name collision 409.
+func (r *Registry) Import(name string, image []byte) (*Session, error) {
+	return r.admit(name, func() (*Session, error) {
+		s, _, _, err := r.bindImage(image, name)
+		if err != nil {
+			return nil, badRequest(fmt.Sprintf("importing session image: %v", err))
 		}
-	}
-	s.reports, s.alerts, s.last = exp.Reports, exp.Alerts, exp.Last
-	if r.store != nil {
-		if err := s.persistNew(r.store); err != nil {
-			s.mu.Unlock()
-			unreserve()
-			return nil, fmt.Errorf("persisting imported session %q: %w", cfg.Name, err)
-		}
-	}
-	s.mu.Unlock()
-
-	r.mu.Lock()
-	delete(r.reserved, cfg.Name)
-	r.sessions[cfg.Name] = s
-	r.mu.Unlock()
-	return s, nil
+		return s, nil
+	})
 }

@@ -95,7 +95,7 @@ func TestExportImportBitIdentical(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("export: %d: %s", code, exported)
 	}
-	if code, _, body := raw(t, dst, "POST", "/v1/sessions/import", exported); code != 201 {
+	if code, _, body := raw(t, dst, "POST", "/v1/sessions/m/import", exported); code != 201 {
 		t.Fatalf("import: %d: %s", code, body)
 	}
 	if code, _, _ := raw(t, src, "DELETE", "/v1/sessions/m", ""); code != 204 {
@@ -291,7 +291,7 @@ func TestDurableImportSurvivesReopen(t *testing.T) {
 		t.Fatalf("warnings on fresh dir: %v", warnings)
 	}
 	ts := httptest.NewServer(reg.Handler())
-	if code, _, body := raw(t, ts, "POST", "/v1/sessions/import", exported); code != 201 {
+	if code, _, body := raw(t, ts, "POST", "/v1/sessions/m/import", exported); code != 201 {
 		t.Fatalf("durable import: %d: %s", code, body)
 	}
 	_, _, wantState := raw(t, ts, "GET", "/v1/sessions/m", "")
@@ -319,19 +319,29 @@ func TestDurableImportSurvivesReopen(t *testing.T) {
 // TestImportValidation drives the import endpoint's 4xx space.
 func TestImportValidation(t *testing.T) {
 	ts := newServer(t)
-	if code, _, _ := raw(t, ts, "POST", "/v1/sessions/import", `{"version": 99, "config": {}}`); code != 400 {
+	if code, _, _ := raw(t, ts, "POST", "/v1/sessions/x/import", `{"version": 99, "config": {"name": "x"}}`); code != 400 {
 		t.Errorf("unsupported version: %d, want 400", code)
 	}
-	if code, _, _ := raw(t, ts, "POST", "/v1/sessions/import", `{"version": 1, "config": {"name": "x", "model": "nope"}}`); code != 400 {
+	if code, _, _ := raw(t, ts, "POST", "/v1/sessions/x/import", `{"version": 1, "config": {"name": "x", "model": "nope"}}`); code != 400 {
 		t.Errorf("bad model: %d, want 400", code)
 	}
-	// A name collision is a 409, and the import must not clobber the
-	// existing session.
+	if code, _, _ := raw(t, ts, "POST", "/v1/sessions/x/import", "FOCUSSNP garbage"); code != 400 {
+		t.Errorf("corrupt image: %d, want 400", code)
+	}
 	if code, _, body := raw(t, ts, "POST", "/v1/sessions", litsSession("dup")); code != 201 {
 		t.Fatalf("create: %d: %s", code, body)
 	}
 	_, _, exported := raw(t, ts, "POST", "/v1/sessions/dup/export", "")
-	if code, _, _ := raw(t, ts, "POST", "/v1/sessions/import", exported); code != 409 {
+	// The image's config must name the session the path imports.
+	if code, _, _ := raw(t, ts, "POST", "/v1/sessions/other/import", exported); code != 400 {
+		t.Errorf("import under another name: %d, want 400", code)
+	}
+	if code, _, _ := raw(t, ts, "GET", "/v1/sessions/other", ""); code != 404 {
+		t.Errorf("refused import left session other behind: %d", code)
+	}
+	// A name collision is a 409, and the import must not clobber the
+	// existing session.
+	if code, _, _ := raw(t, ts, "POST", "/v1/sessions/dup/import", exported); code != 409 {
 		t.Errorf("duplicate import: %d, want 409", code)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -42,17 +43,18 @@ func drainingError(msg string) error {
 //	GET    /v1/summary                  mergeable shard drift summary (ShardSummary)
 //	GET    /v1/sessions                 list session states (streamed)
 //	POST   /v1/sessions                 create a session (SessionConfig body)
-//	POST   /v1/sessions/import          import an exported session (SessionExport body)
 //	GET    /v1/sessions/{name}          session state snapshot
 //	DELETE /v1/sessions/{name}          delete a session
 //	POST   /v1/sessions/{name}/batches  feed one batch ({"epoch"?, "rows"} body)
 //	GET    /v1/sessions/{name}/reports  recent reports + alert count
-//	POST   /v1/sessions/{name}/export   seal + return the session (?drain=1 stops intake)
+//	POST   /v1/sessions/{name}/export   seal + return the session image (?drain=1 stops intake)
+//	POST   /v1/sessions/{name}/import   register the session from an image body
 //	POST   /v1/sessions/{name}/resume   lift a migration drain
 //
-// Malformed configuration, schemas and batches map to 400, unknown sessions
-// to 404, duplicate names to 409, drains to 503 with Retry-After; every
-// response body is JSON.
+// Malformed configuration, schemas, batches and images map to 400, unknown
+// sessions to 404, duplicate names to 409, drains to 503 with Retry-After.
+// A session image is binary (application/octet-stream, see persist.go);
+// every other response body is JSON.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
@@ -147,13 +149,28 @@ func (r *Registry) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, reportsResponse{Reports: reports, Alerts: alerts})
 	})
-	mux.HandleFunc("POST /v1/sessions/import", func(w http.ResponseWriter, req *http.Request) {
-		var exp SessionExport
-		if err := decodeBody(w, req, &exp); err != nil {
+	mux.HandleFunc("POST /v1/sessions/{name}/export", func(w http.ResponseWriter, req *http.Request) {
+		s, err := r.session(req)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
-		s, err := r.Import(&exp)
+		img, err := s.Export(req.URL.Query().Get("drain") == "1")
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.WriteHeader(http.StatusOK)
+		w.Write(img) //nolint:errcheck
+	})
+	mux.HandleFunc("POST /v1/sessions/{name}/import", func(w http.ResponseWriter, req *http.Request) {
+		img, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+		if err != nil {
+			writeError(w, bodyError(err))
+			return
+		}
+		s, err := r.Import(req.PathValue("name"), img)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -164,19 +181,6 @@ func (r *Registry) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusCreated, st)
-	})
-	mux.HandleFunc("POST /v1/sessions/{name}/export", func(w http.ResponseWriter, req *http.Request) {
-		s, err := r.session(req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		exp, err := s.Export(req.URL.Query().Get("drain") == "1")
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, exp)
 	})
 	mux.HandleFunc("POST /v1/sessions/{name}/resume", func(w http.ResponseWriter, req *http.Request) {
 		s, err := r.session(req)
@@ -214,16 +218,22 @@ func decodeBody(w http.ResponseWriter, req *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return &statusError{code: http.StatusRequestEntityTooLarge, msg: err.Error()}
-		}
-		return badRequest(fmt.Sprintf("decoding request body: %v", err))
+		return bodyError(err)
 	}
 	if dec.More() {
 		return badRequest("trailing data after JSON body")
 	}
 	return nil
+}
+
+// bodyError maps a failed read of a request body: 413 past maxBodyBytes,
+// else 400.
+func bodyError(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return &statusError{code: http.StatusRequestEntityTooLarge, msg: err.Error()}
+	}
+	return badRequest(fmt.Sprintf("decoding request body: %v", err))
 }
 
 // writeError renders err as a JSON error response, defaulting unclassified

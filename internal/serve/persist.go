@@ -63,13 +63,19 @@ import (
 // Compaction copies the config, reference and tree forward unchanged and
 // writes only the window state and report ring anew.
 //
+// The snapshot is also the session's migration form, its one image:
+// Session.Export seals the same bytes with wal_gen 0, and Registry.Import
+// binds them through bindImage, the step restore takes, so a migrated dt
+// session keeps its pinned tree as a restarted one does.
+//
 // Directories written before version 2 hold snapshot.json, one JSON
 // document with the reference as the create request's JSON rows and the
-// window batches as JSON rows. It still restores (decoding the rows and
-// growing a dt tree as before) and is resealed as snapshot.bin at the
-// session's next compaction, which removes snapshot.json only after the
-// new snapshot is renamed into place; a directory holding both restores
-// from snapshot.bin.
+// window batches as JSON rows; the export document of older members is the
+// same document without its wal_gen. Both still bind (decoding the rows
+// and growing a dt tree as before); a restored one is resealed as
+// snapshot.bin at the session's next compaction, which removes
+// snapshot.json only after the new snapshot is renamed into place; a
+// directory holding both restores from snapshot.bin.
 //
 // Crash windows resolve by the write order. The new WAL generation is
 // created before the snapshot naming it is renamed into place, and the old
@@ -123,15 +129,19 @@ type sessionStore struct {
 	v1 bool
 }
 
-// snapshotHeader is the JSON header of a snapshot. Config is the session's
-// create config without its reference rows.
-type snapshotHeader struct {
-	Version int             `json:"version"`
-	WALGen  uint64          `json:"wal_gen"`
-	Config  json.RawMessage `json:"config"`
-	Reports []ReportJSON    `json:"reports,omitempty"`
-	Alerts  int             `json:"alerts,omitempty"`
-	Last    *ReportJSON     `json:"last,omitempty"`
+// imageHeader is the JSON header of a snapshot, where Config is the
+// session's create config without its reference rows and Monitor is
+// unused. A version-1 image is one such JSON document on its own, with
+// Config holding the reference rows and Monitor the window state; export
+// documents of version 1 carry no WALGen.
+type imageHeader struct {
+	Version int               `json:"version"`
+	WALGen  uint64            `json:"wal_gen"`
+	Config  json.RawMessage   `json:"config"`
+	Monitor *monitorStateJSON `json:"monitor,omitempty"`
+	Reports []ReportJSON      `json:"reports,omitempty"`
+	Alerts  int               `json:"alerts,omitempty"`
+	Last    *ReportJSON       `json:"last,omitempty"`
 }
 
 // pinnedSections are the snapshot sections fixed when a session is
@@ -300,22 +310,8 @@ func parseWindowState[D any](b []byte, decodeBatch func([]byte) (D, error)) (str
 	return st, nil
 }
 
-// snapshotV1 is a snapshot of format version 1 (snapshot.json): the
-// create config with its reference rows and — once a compaction has run —
-// the monitor window state and report ring, all JSON.
-type snapshotV1 struct {
-	Version int               `json:"version"`
-	WALGen  uint64            `json:"wal_gen"`
-	Config  SessionConfig     `json:"config"`
-	Monitor *monitorStateJSON `json:"monitor,omitempty"`
-	Reports []ReportJSON      `json:"reports,omitempty"`
-	Alerts  int               `json:"alerts,omitempty"`
-	Last    *ReportJSON       `json:"last,omitempty"`
-}
-
-// monitorStateJSON is the JSON form of stream.MonitorState, in exports and
-// v1 snapshots: window batches as row payloads in the session's own rows
-// format.
+// monitorStateJSON is the JSON form of stream.MonitorState in version-1
+// images: window batches as row payloads in the session's own rows format.
 type monitorStateJSON struct {
 	Epoch   int64             `json:"epoch"`
 	Seq     int               `json:"seq"`
@@ -530,102 +526,98 @@ func (r *Registry) restoreSession(dir string) (*Session, error) {
 	return s, nil
 }
 
-// loadSnapshot binds a session from the snapshot in dir — snapshot.bin, or
-// a v1 snapshot.json when there is none — and reinstates its window state
-// and report ring. It returns the WAL generation the snapshot names, and
-// whether the snapshot was a v1 one.
+// loadSnapshot binds a session from the snapshot in dir — snapshot.bin,
+// or a v1 snapshot.json when there is none. It returns the WAL generation
+// the snapshot names, and whether the snapshot was a v1 one.
 func (r *Registry) loadSnapshot(dir string) (s *Session, gen uint64, v1 bool, err error) {
 	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if errors.Is(err, fs.ErrNotExist) {
-		s, gen, err = r.loadSnapshotV1(dir)
-		return s, gen, true, err
+		raw, err = os.ReadFile(filepath.Join(dir, snapshotV1File))
 	}
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("reading snapshot: %w", err)
 	}
-	snap, err := parseSnapshot(raw)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("decoding snapshot: %w", err)
+	if s, gen, v1, err = r.bindImage(raw, filepath.Base(dir)); err != nil {
+		return nil, 0, false, err
 	}
-	var hdr snapshotHeader
-	if err := json.Unmarshal(snap.header, &hdr); err != nil {
+	if gen == 0 {
+		return nil, 0, false, errors.New("snapshot names no WAL generation")
+	}
+	return s, gen, v1, nil
+}
+
+// bindImage binds the session named name from a session image, the one
+// form a session takes both on disk and over the migration wire: a
+// snapshot (format version 2), or a version-1 JSON document — a v1
+// snapshot.json, or the export document of older members. A snapshot
+// binds from its config, binary reference rows and encoded tree, so a dt
+// session keeps the tree it was created with; a version-1 image decodes
+// its reference from the config's JSON rows and grows a dt tree from them.
+// Then the window state and report ring are reinstated. It returns the WAL
+// generation the image names (0 when it names none), and whether it was a
+// version-1 image.
+func (r *Registry) bindImage(raw []byte, name string) (s *Session, gen uint64, v1 bool, err error) {
+	var snap snapshot
+	header := raw
+	if v1 = !bytes.HasPrefix(raw, []byte(snapshotMagic)); !v1 {
+		if snap, err = parseSnapshot(raw); err != nil {
+			return nil, 0, false, fmt.Errorf("decoding snapshot: %w", err)
+		}
+		header = snap.header
+	}
+	var hdr imageHeader
+	if err := json.Unmarshal(header, &hdr); err != nil {
 		return nil, 0, false, fmt.Errorf("decoding snapshot header: %w", err)
 	}
-	if hdr.Version != snapshotVersion {
-		return nil, 0, false, fmt.Errorf("snapshot version %d not supported", hdr.Version)
+	want := snapshotVersion
+	if v1 {
+		want = 1
 	}
-	if hdr.WALGen == 0 {
-		return nil, 0, false, errors.New("snapshot names no WAL generation")
+	if hdr.Version != want {
+		return nil, 0, false, fmt.Errorf("snapshot version %d not supported", hdr.Version)
 	}
 	var cfg SessionConfig
 	if err := json.Unmarshal(hdr.Config, &cfg); err != nil {
 		return nil, 0, false, fmt.Errorf("decoding snapshot config: %w", err)
 	}
-	if err := checkSnapshotName(&cfg, dir); err != nil {
+	if err := checkImageName(&cfg, name); err != nil {
 		return nil, 0, false, err
 	}
+	cfgRaw, pin := hdr.Config, &snap.pinnedSections
 	switch {
+	case v1:
+		cfgRaw, pin = nil, nil
 	case len(cfg.Reference) > 0:
 		return nil, 0, false, errors.New("snapshot config holds reference rows")
 	case (cfg.Model == "dt") != (len(snap.tree) > 0):
 		return nil, 0, false, fmt.Errorf("snapshot of a %q session holds %d tree bytes", cfg.Model, len(snap.tree))
 	}
-	if s, err = r.bind(cfg, hdr.Config, &snap.pinnedSections); err != nil {
+	if s, err = r.bind(cfg, cfgRaw, pin); err != nil {
 		return nil, 0, false, fmt.Errorf("rebinding: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.restoreWindow(snap.window); err != nil {
+	switch {
+	case !v1:
+		err = s.restoreWindow(snap.window)
+	case hdr.Monitor != nil:
+		err = s.restoreMonitor(hdr.Monitor)
+	}
+	if err != nil {
 		return nil, 0, false, fmt.Errorf("restoring window state: %w", err)
 	}
 	s.reports, s.alerts, s.last = hdr.Reports, hdr.Alerts, hdr.Last
-	return s, hdr.WALGen, false, nil
+	return s, hdr.WALGen, v1, nil
 }
 
-// loadSnapshotV1 is loadSnapshot for a v1 snapshot.json: the reference
-// decodes from the config's JSON rows, a dt tree is grown from it, and the
-// window batches decode from JSON rows.
-func (r *Registry) loadSnapshotV1(dir string) (*Session, uint64, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, snapshotV1File))
-	if err != nil {
-		return nil, 0, fmt.Errorf("reading snapshot: %w", err)
-	}
-	var snap snapshotV1
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, 0, fmt.Errorf("decoding snapshot: %w", err)
-	}
-	if snap.Version != 1 {
-		return nil, 0, fmt.Errorf("snapshot version %d not supported", snap.Version)
-	}
-	if snap.WALGen == 0 {
-		return nil, 0, errors.New("snapshot names no WAL generation")
-	}
-	if err := checkSnapshotName(&snap.Config, dir); err != nil {
-		return nil, 0, err
-	}
-	s, err := r.bind(snap.Config, nil, nil)
-	if err != nil {
-		return nil, 0, fmt.Errorf("rebinding: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if snap.Monitor != nil {
-		if err := s.restoreMonitor(snap.Monitor); err != nil {
-			return nil, 0, fmt.Errorf("restoring window state: %w", err)
-		}
-	}
-	s.reports, s.alerts, s.last = snap.Reports, snap.Alerts, snap.Last
-	return s, snap.WALGen, nil
-}
-
-// checkSnapshotName requires a snapshot's config to name the session
-// directory it sits in.
-func checkSnapshotName(cfg *SessionConfig, dir string) error {
+// checkImageName requires an image's config to name the session it
+// restores or imports as.
+func checkImageName(cfg *SessionConfig, name string) error {
 	if err := validName(cfg.Name); err != nil {
 		return err
 	}
-	if cfg.Name != filepath.Base(dir) {
-		return fmt.Errorf("snapshot names session %q", cfg.Name)
+	if cfg.Name != name {
+		return fmt.Errorf("snapshot names session %q, not %q", cfg.Name, name)
 	}
 	return nil
 }
@@ -635,13 +627,13 @@ func (st *Store) sessionDir(name string) string {
 	return filepath.Join(st.dir, "sessions", name)
 }
 
-// sealSnapshot encodes the session's snapshot naming WAL generation gen:
-// its config, the given pinned sections, and the live window state and
-// report ring.
+// sealSnapshot encodes the session's snapshot naming WAL generation gen
+// (0 in an exported image, which names none): its config, the given
+// pinned sections, and the live window state and report ring.
 //
 //lint:holds mu
 func (s *Session) sealSnapshot(gen uint64, pin pinnedSections) ([]byte, error) {
-	header, err := json.Marshal(&snapshotHeader{
+	header, err := json.Marshal(&imageHeader{
 		Version: snapshotVersion,
 		WALGen:  gen,
 		Config:  s.cfgRaw,

@@ -77,9 +77,8 @@ type Session struct {
 	draining bool // migration drain: feeds answer 503 with Retry-After until Resume; guarded by mu
 	// cfgRaw is the session's create config without its reference rows,
 	// as json.Marshal wrote it at create (or as a v2 snapshot holds it):
-	// what a snapshot header carries and Export rebuilds the full config
-	// from. The reference itself lives in the monitor's reference window.
-	// Set by bind, immutable.
+	// what a snapshot header carries. The reference itself lives in the
+	// monitor's reference window. Set by bind, immutable.
 	cfgRaw json.RawMessage
 	// decode turns wire rows into a batch of the session's model class (a
 	// 400 when they do not decode or hold no row); ingest advances the
@@ -94,20 +93,15 @@ type Session struct {
 	max     int
 
 	store *sessionStore // nil: in-memory session; guarded by mu
-	// exportMonitor and restoreMonitor bridge the generic monitor state to
-	// its JSON form (exports, and v1 snapshots); appendWindow and
-	// restoreWindow to its binary form in a snapshot. bindSession installs
-	// them per model class.
-	exportMonitor  func() (*monitorStateJSON, error)
-	restoreMonitor func(*monitorStateJSON) error
+	// appendWindow and restoreWindow bridge the generic monitor state to
+	// its binary form in a snapshot; restoreMonitor reads its JSON form in
+	// a version-1 image. bindSession installs them per model class.
 	appendWindow   func(buf []byte) []byte
 	restoreWindow  func(b []byte) error
+	restoreMonitor func(*monitorStateJSON) error
 	// pinned encodes the pinned reference rows and, for dt sessions, the
-	// pinned tree in their snapshot form (nil when absent); refJSON renders
-	// the reference rows as the JSON rows of a create config (nil when the
-	// session has none).
-	pinned  func() pinnedSections
-	refJSON func() (json.RawMessage, error)
+	// pinned tree in their snapshot form (nil when absent).
+	pinned func() pinnedSections
 	// appendRecord frames a decoded feed as a binary WAL record;
 	// readRecord reads one back (see persist.go for the format).
 	appendRecord func(buf []byte, epoch *int64, b batch) []byte
@@ -128,35 +122,40 @@ func (s *Session) Model() string { return s.model }
 // the session under cfg.Name. It fails with a client error (statusError 400)
 // on any invalid configuration, schema, or reference payload, and with 409
 // when the name is taken.
-//
-// The name is reserved under the registry lock before the expensive bind —
-// growing a pinned DT tree or mining a lits reference can dwarf the
-// request parse — so a duplicate create 409s immediately instead of
-// burning a full model build first, and two racing creates of one name do
-// the work exactly once. The bind itself runs outside the lock; the name
-// is published on success and released on any failure.
 func (r *Registry) Create(cfg SessionConfig) (*Session, error) {
-	if err := validName(cfg.Name); err != nil {
+	return r.admit(cfg.Name, func() (*Session, error) { return r.bind(cfg, nil, nil) })
+}
+
+// admit registers the session bind builds under name, the path Create and
+// Import share. The name is reserved under the registry lock before the
+// expensive bind — growing a pinned DT tree or mining a lits reference can
+// dwarf the request parse — so a duplicate 409s immediately instead of
+// burning a full model build first, and two racing requests for one name
+// do the work exactly once. The bind itself runs outside the lock; on a
+// durable registry the session is then persisted, and the name is
+// published on success and released on any failure.
+func (r *Registry) admit(name string, bind func() (*Session, error)) (*Session, error) {
+	if err := validName(name); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
-	if _, ok := r.sessions[cfg.Name]; ok {
+	if _, ok := r.sessions[name]; ok {
 		r.mu.Unlock()
-		return nil, duplicate(cfg.Name)
+		return nil, duplicate(name)
 	}
-	if _, ok := r.reserved[cfg.Name]; ok {
+	if _, ok := r.reserved[name]; ok {
 		r.mu.Unlock()
-		return nil, duplicate(cfg.Name)
+		return nil, duplicate(name)
 	}
-	r.reserved[cfg.Name] = struct{}{}
+	r.reserved[name] = struct{}{}
 	r.mu.Unlock()
 	unreserve := func() {
 		r.mu.Lock()
-		delete(r.reserved, cfg.Name)
+		delete(r.reserved, name)
 		r.mu.Unlock()
 	}
 
-	s, err := r.bind(cfg, nil, nil)
+	s, err := bind()
 	if err != nil {
 		unreserve()
 		return nil, err
@@ -171,12 +170,12 @@ func (r *Registry) Create(cfg SessionConfig) (*Session, error) {
 		s.mu.Unlock()
 		if err != nil {
 			unreserve()
-			return nil, fmt.Errorf("persisting session %q: %w", cfg.Name, err)
+			return nil, fmt.Errorf("persisting session %q: %w", name, err)
 		}
 	}
 	r.mu.Lock()
-	delete(r.reserved, cfg.Name)
-	r.sessions[cfg.Name] = s
+	delete(r.reserved, name)
+	r.sessions[name] = s
 	r.mu.Unlock()
 	return s, nil
 }
@@ -187,12 +186,12 @@ func duplicate(name string) error {
 
 // bind builds the session's model class, monitor and codec closures from a
 // validated-name config — the expensive part of Create, run outside the
-// registry lock. A session restoring from a v2 snapshot passes the
-// snapshot's raw config (which holds no reference rows) and its pinned
-// sections, so the reference decodes from binary rows and a dt session's
-// tree from its encoding instead of being grown again; otherwise cfgRaw
-// and pin are nil, the reference decodes from cfg.Reference and a dt tree
-// is grown from it.
+// registry lock. A session bound from a v2 snapshot, restored or
+// imported, passes the snapshot's raw config (which holds no reference
+// rows) and its pinned sections, so the reference decodes from binary rows
+// and a dt session's tree from its encoding instead of being grown again;
+// otherwise cfgRaw and pin are nil, the reference decodes from
+// cfg.Reference and a dt tree is grown from it.
 func (r *Registry) bind(cfg SessionConfig, cfgRaw json.RawMessage, pin *pinnedSections) (*Session, error) {
 	if cfgRaw == nil {
 		noRef := cfg
@@ -357,14 +356,12 @@ func monitorConfig(cfg *SessionConfig) (core.Config, error) {
 	}, nil
 }
 
-// rowCodec is a model class's batch codecs: decode and encode are the
-// JSON rows of the wire and of snapshots (encode's rows decode back to a
-// bit-identical batch), appendBinary and decodeBinary the binary form of
-// WAL records, logged under tag.
+// rowCodec is a model class's batch codecs: decode reads the JSON rows of
+// the wire and of version-1 images, appendBinary and decodeBinary the
+// binary form of WAL records and snapshots, logged under tag.
 type rowCodec[D any] struct {
 	tag          byte
 	decode       func(json.RawMessage) (D, error)
-	encode       func(D) (json.RawMessage, error)
 	appendBinary func([]byte, D) []byte
 	decodeBinary func([]byte) (D, error)
 }
@@ -449,25 +446,6 @@ func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef b
 	s.state = func() (int64, int, int, int) {
 		return mon.Epoch(), mon.WindowBatches(), mon.WindowN(), mon.Reports()
 	}
-	s.exportMonitor = func() (*monitorStateJSON, error) {
-		st := mon.ExportState()
-		out := &monitorStateJSON{Epoch: st.Epoch, Seq: st.Seq, Epochs: st.Epochs}
-		for _, b := range st.Batches {
-			raw, err := codec.encode(b)
-			if err != nil {
-				return nil, err
-			}
-			out.Batches = append(out.Batches, raw)
-		}
-		if st.RefPromoted {
-			raw, err := codec.encode(st.RefData)
-			if err != nil {
-				return nil, err
-			}
-			out.RefRows = raw
-		}
-		return out, nil
-	}
 	s.restoreMonitor = func(ms *monitorStateJSON) error {
 		st := stream.MonitorState[D]{Epoch: ms.Epoch, Seq: ms.Seq, Epochs: ms.Epochs}
 		for i, raw := range ms.Batches {
@@ -504,12 +482,6 @@ func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef b
 			pin.tree = tree.AppendBinary(nil)
 		}
 		return pin
-	}
-	s.refJSON = func() (json.RawMessage, error) {
-		if !hasRef {
-			return nil, nil
-		}
-		return codec.encode(ref)
 	}
 	return nil
 }

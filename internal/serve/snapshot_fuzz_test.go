@@ -30,14 +30,18 @@ func snapshotSeeds(f *testing.F) (names []string, files [][]byte) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var snap snapshotV1
+		var snap imageHeader
+		var cfg SessionConfig
 		if err := json.Unmarshal(raw, &snap); err != nil {
 			f.Fatal(err)
 		}
-		if _, err := fresh.Create(snap.Config); err != nil {
+		if err := json.Unmarshal(snap.Config, &cfg); err != nil {
 			f.Fatal(err)
 		}
-		names, files = append(names, snap.Config.Name), append(files, raw)
+		if _, err := fresh.Create(cfg); err != nil {
+			f.Fatal(err)
+		}
+		names, files = append(names, cfg.Name), append(files, raw)
 	}
 	// Compact-every 1 reseals every fixture session as v2 at boot.
 	compacted := filepath.Join(f.TempDir(), "data")
@@ -64,9 +68,11 @@ func snapshotSeeds(f *testing.F) (names []string, files [][]byte) {
 // FuzzSnapshotRestore restores arbitrary bytes as a session's snapshot:
 // a v2 snapshot when they start with its magic (the harness appends the
 // checksum, so mutations reach the decoder behind it), else a v1
-// snapshot.json. No input may panic: each either fails to restore with an
-// error, or restores to a session whose next compaction reseals it as a v2
-// snapshot that restores to the same state and reports.
+// snapshot.json. The same bytes are imported as a migrated session's
+// image. No input may panic either path: each either fails to restore with
+// an error, or restores to a session that imports into an in-memory
+// registry with the same state and reports, and whose next compaction
+// reseals it as a v2 snapshot that restores to the same state and reports.
 func FuzzSnapshotRestore(f *testing.F) {
 	names, files := snapshotSeeds(f)
 	for i, file := range files {
@@ -92,6 +98,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		imported, ierr := NewRegistry().Import(name, data)
 		r := NewRegistry()
 		r.store = &Store{dir: root, compactEvery: DefaultCompactEvery}
 		s, err := r.restoreSession(dir)
@@ -99,6 +106,12 @@ func FuzzSnapshotRestore(f *testing.F) {
 			return
 		}
 		want := fuzzFingerprint(t, s)
+		if ierr != nil {
+			t.Fatalf("restorable image does not import: %v", ierr)
+		}
+		if got := fuzzFingerprint(t, imported); got != want {
+			t.Fatalf("image imports to\n%s\nrestores to\n%s", got, want)
+		}
 		s.mu.Lock()
 		s.compactLocked()
 		s.mu.Unlock()

@@ -7,19 +7,17 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"focus/internal/serve"
 )
 
-// v1Want reads testdata/v1/want.json: per session, the fingerprint the
-// v1 code rendered right after restoring the fixture ("restored") and
-// after feeding it one more batch ("fed"), compacted back to the bytes
-// sessionFingerprint renders.
-func v1Want(t *testing.T) map[string]map[string]string {
+// fixtureWant reads the want.json of a fixture under testdata: per
+// session, fingerprints the code that wrote the fixture rendered, compacted
+// back to the bytes sessionFingerprint renders.
+func fixtureWant(t *testing.T, fixture string) map[string]map[string]string {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "v1", "want.json"))
+	raw, err := os.ReadFile(filepath.Join("testdata", fixture, "want.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +63,9 @@ func sessionFiles(t *testing.T, dir, name string) []string {
 // snapshots (a crash between the v2 rename and the v1 removal) restores
 // from the v2 one and sweeps the v1 file.
 func TestV1SnapshotCompat(t *testing.T) {
-	want := v1Want(t)
+	// Per session: the fingerprint the v1 code rendered right after
+	// restoring the fixture ("restored") and after one more feed ("fed").
+	want := fixtureWant(t, "v1")
 	dir := filepath.Join(t.TempDir(), "data")
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v1"))); err != nil {
 		t.Fatal(err)
@@ -128,72 +128,88 @@ func TestV1SnapshotCompat(t *testing.T) {
 	}
 }
 
-// TestExportVersionStable pins the export document's version at 1,
-// whatever the snapshot format: a version-1 document exported by a durable
-// member imports into another durable member, survives its restart, and
-// goes on reporting byte-identically to a session that never moved.
-func TestExportVersionStable(t *testing.T) {
+// TestExportV1Import imports testdata/export-v1: the version-1 JSON export
+// documents that members sent before the session image was the migration
+// form, one per durable kind, written after four feeds. Each must import
+// into a durable member as it imported into the code that wrote it,
+// survive the member's restart, and go on reporting byte-identically to a
+// session that never moved, also after it migrates once more as this
+// version's image.
+func TestExportV1Import(t *testing.T) {
+	// Per session: the fingerprint the exporting code rendered right after
+	// importing the document ("imported") and after one more feed ("fed").
+	want := fixtureWant(t, "export-v1")
 	for _, k := range durableKinds() {
 		t.Run(k.name, func(t *testing.T) {
-			cfg := parseConfig(t, k.cfg)
-			n := len(k.batches)
-			control := serve.NewRegistry()
-			cs, err := control.Create(cfg)
+			name := parseConfig(t, k.cfg).Name
+			doc, err := os.ReadFile(filepath.Join("testdata", "export-v1", name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				feedKind(t, cs, k, i)
-			}
-			want := sessionFingerprint(t, cs)
-
-			src, _, err := serve.OpenRegistry(t.TempDir(), 2)
+			dir := t.TempDir()
+			dst, _, err := serve.OpenRegistry(dir, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer src.Close()
-			s, err := src.Create(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n/2+1; i++ {
-				feedKind(t, s, k, i)
-			}
-			ts := httptest.NewServer(src.Handler())
-			defer ts.Close()
-			code, _, doc := raw(t, ts, "POST", "/v1/sessions/"+cfg.Name+"/export?drain=1", "")
-			if code != 200 {
-				t.Fatalf("export: %d: %s", code, doc)
-			}
-			if !strings.HasPrefix(doc, `{"version":1,`) {
-				t.Fatalf("export document %.40s..., want version 1", doc)
-			}
-
-			dstDir := t.TempDir()
-			dst, _, err := serve.OpenRegistry(dstDir, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dts := httptest.NewServer(dst.Handler())
-			if code, _, body := raw(t, dts, "POST", "/v1/sessions/import", doc); code != 201 {
+			ts := httptest.NewServer(dst.Handler())
+			if code, _, body := raw(t, ts, "POST", "/v1/sessions/"+name+"/import", string(doc)); code != 201 {
 				t.Fatalf("import: %d: %s", code, body)
 			}
-			dts.Close()
+			ts.Close()
+			moved, _ := dst.Get(name)
+			if got := sessionFingerprint(t, moved); got != want[name]["imported"] {
+				t.Fatalf("imported fingerprint\n got: %s\nwant: %s", got, want[name]["imported"])
+			}
 			dst.Close()
-			dst, warns, err := serve.OpenRegistry(dstDir, 2)
+			dst, warns, err := serve.OpenRegistry(dir, 2)
 			if err != nil || len(warns) > 0 {
 				t.Fatalf("reopen: %v %v", err, warns)
 			}
 			defer dst.Close()
-			moved, ok := dst.Get(cfg.Name)
+			moved, ok := dst.Get(name)
 			if !ok {
 				t.Fatal("imported session not restored")
 			}
-			for i := n/2 + 1; i < n; i++ {
-				feedKind(t, moved, k, i)
+			feedKind(t, moved, k, 4)
+			if got := sessionFingerprint(t, moved); got != want[name]["fed"] {
+				t.Fatalf("fingerprint after a feed\n got: %s\nwant: %s", got, want[name]["fed"])
 			}
-			if got := sessionFingerprint(t, moved); got != want {
-				t.Fatalf("migrated session diverges\n got: %s\nwant: %s", got, want)
+			control, err := serve.NewRegistry().Create(parseConfig(t, k.cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= 4; i++ {
+				feedKind(t, control, k, i)
+			}
+			if got := sessionFingerprint(t, control); got != want[name]["fed"] {
+				t.Fatalf("a session that never moved renders\n%s\nwant\n%s", got, want[name]["fed"])
+			}
+
+			// Migrate it on as this version's image, into a durable member
+			// that restarts: it goes on reporting as the control does.
+			img, err := moved.Export(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := t.TempDir()
+			next, _, err := serve.OpenRegistry(again, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := next.Import(name, img); err != nil {
+				t.Fatal(err)
+			}
+			next.Close()
+			next, warns, err = serve.OpenRegistry(again, 2)
+			if err != nil || len(warns) > 0 {
+				t.Fatalf("reopen after the second move: %v %v", err, warns)
+			}
+			defer next.Close()
+			moved, _ = next.Get(name)
+			feedKind(t, moved, k, 5)
+			feedKind(t, control, k, 5)
+			if got, w := sessionFingerprint(t, moved), sessionFingerprint(t, control); got != w {
+				t.Fatalf("migrated session diverges\n got: %s\nwant: %s", got, w)
 			}
 		})
 	}

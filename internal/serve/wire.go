@@ -222,34 +222,22 @@ type errorResponse struct {
 
 // tupleCodec returns the batch codecs of a dt or cluster session on schema
 // s, with the schema's decode tables built once per session, not per
-// request. Its JSON encoding is WriteJSONL's exact per-row rendering —
-// categorical values by name, numeric values at full float64 precision —
-// so its decode reads it back bit-identically.
+// request.
 func tupleCodec(s *dataset.Schema) rowCodec[*dataset.Dataset] {
 	td := dataset.NewTupleDecoder(s)
 	return rowCodec[*dataset.Dataset]{
 		tag:          walTuples,
 		decode:       func(raw json.RawMessage) (*dataset.Dataset, error) { return td.DecodeRows(raw) },
-		encode:       func(d *dataset.Dataset) (json.RawMessage, error) { return d.AppendJSONRows(nil) },
 		appendBinary: func(buf []byte, d *dataset.Dataset) []byte { return d.AppendBinaryRows(buf) },
 		decodeBinary: func(b []byte) (*dataset.Dataset, error) { return dataset.DecodeBinaryRows(s, b) },
 	}
 }
 
 // txnCodec returns the batch codecs of a lits session over numItems items.
-// Its JSON encoding renders the retained, already normalized transactions
-// as item-id arrays ([[id, ...], ...]), which decodeTxnRows reads back
-// bit-identically.
 func txnCodec(numItems int) rowCodec[*txn.Dataset] {
 	return rowCodec[*txn.Dataset]{
-		tag:    walTxns,
-		decode: func(raw json.RawMessage) (*txn.Dataset, error) { return decodeTxnRows(numItems, raw) },
-		encode: func(d *txn.Dataset) (json.RawMessage, error) {
-			if len(d.Txns) == 0 {
-				return json.RawMessage("[]"), nil
-			}
-			return json.Marshal(d.Txns)
-		},
+		tag:          walTxns,
+		decode:       func(raw json.RawMessage) (*txn.Dataset, error) { return decodeTxnRows(numItems, raw) },
 		appendBinary: func(buf []byte, d *txn.Dataset) []byte { return d.AppendBinaryRows(buf) },
 		decodeBinary: func(b []byte) (*txn.Dataset, error) { return txn.DecodeBinaryRows(numItems, b) },
 	}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"focus/internal/core"
@@ -121,5 +122,72 @@ func TestRestoreStateGuards(t *testing.T) {
 	}
 	if err := fresh.RestoreState(MonitorState[*txn.Dataset]{RefPromoted: true, RefData: ref}); err == nil {
 		t.Fatal("RestoreState accepted a promoted reference for a pinned monitor")
+	}
+}
+
+// TestRestoreStateWindowPolicy restores, under every window policy, states
+// whose window the policy can or cannot produce: the exported state of a
+// real run, a window over its batch count (a tumbling window's count is
+// not checked), a batch epoch above the state's, decreasing batch epochs,
+// and a batch an epoch window has expired.
+func TestRestoreStateWindowPolicy(t *testing.T) {
+	const numItems = 10
+	ref := concatTxns(numItems, randTxnBatches(1, 1, 50, numItems, 4), []int{0})
+	batch := concatTxns(numItems, randTxnBatches(2, 1, 50, numItems, 4), []int{0})
+	mc := core.Lits(0.1)
+	state := func(epoch int64, epochs ...int64) MonitorState[*txn.Dataset] {
+		st := MonitorState[*txn.Dataset]{Epoch: epoch, Seq: 1, Epochs: epochs}
+		for range epochs {
+			st.Batches = append(st.Batches, batch)
+		}
+		return st
+	}
+	cases := []struct {
+		name string
+		st   MonitorState[*txn.Dataset]
+		// ok lists the policies that accept the state; nil: every policy.
+		ok []string
+	}{
+		{"kept", state(5, 4, 5), nil},
+		{"over-full", state(5, 5, 5, 5, 5), []string{"tumbling-pinned", "tumbling-prev", "epoch-pinned", "epoch-prev"}},
+		{"epoch-above", state(5, 1, 6), []string{}},
+		{"epochs-decrease", state(4, 4, 3), []string{}},
+		{"expired", state(5, 3, 5), []string{"sliding-pinned", "sliding-prev", "tumbling-pinned", "tumbling-prev"}},
+	}
+	for _, pc := range policyCases() {
+		opts := pc.opts
+		opts.Parallelism = 1
+		pinned := ref
+		if opts.PreviousWindow {
+			pinned = nil
+		}
+		t.Run(pc.name, func(t *testing.T) {
+			donor, err := New(mc, pinned, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if _, err := donor.IngestEpoch(epochOf(i), batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fresh, err := New(mc, pinned, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.RestoreState(donor.ExportState()); err != nil {
+				t.Fatalf("exported state: %v", err)
+			}
+			for _, c := range cases {
+				want := c.ok == nil || slices.Contains(c.ok, pc.name)
+				fresh, err := New(mc, pinned, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fresh.RestoreState(c.st); (err == nil) != want {
+					t.Errorf("%s: RestoreState err %v, want accepted %v", c.name, err, want)
+				}
+			}
+		})
 	}
 }

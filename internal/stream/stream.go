@@ -429,6 +429,12 @@ func (m *Monitor[D, M]) ExportState() MonitorState[D] {
 // including the per-emission bootstrap RNG streams (seeded by Seq), match
 // the uninterrupted monitor's exactly. The last-report cache is not part
 // of the state: Last returns nil until the first post-restore emission.
+//
+// A state the monitor's window policy cannot produce is refused: a
+// sliding window over its batch count, batch epochs above the state's
+// epoch or decreasing, or, under EpochWindow, a batch expiry would already
+// have dropped. A tumbling window's batch count is not checked: an ingest
+// that fails after Add can leave one over-full (see ROADMAP item 1).
 func (m *Monitor[D, M]) RestoreState(st MonitorState[D]) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -437,6 +443,19 @@ func (m *Monitor[D, M]) RestoreState(st MonitorState[D]) error {
 	}
 	if len(st.Epochs) != len(st.Batches) {
 		return fmt.Errorf("stream: state holds %d epochs for %d batches", len(st.Epochs), len(st.Batches))
+	}
+	if !m.opts.Tumbling && m.opts.EpochWindow == 0 && len(st.Batches) > m.opts.WindowBatches {
+		return fmt.Errorf("stream: state holds %d batches, the window keeps %d", len(st.Batches), m.opts.WindowBatches)
+	}
+	for i, e := range st.Epochs {
+		switch {
+		case e > st.Epoch:
+			return fmt.Errorf("stream: batch %d epoch %d is above the state's epoch %d", i, e, st.Epoch)
+		case i > 0 && e < st.Epochs[i-1]:
+			return fmt.Errorf("stream: batch %d epoch %d decreases from %d", i, e, st.Epochs[i-1])
+		case m.opts.EpochWindow > 0 && e <= st.Epoch-m.opts.EpochWindow:
+			return fmt.Errorf("stream: batch %d epoch %d expired from the window at epoch %d", i, e, st.Epoch)
+		}
 	}
 	if st.RefPromoted {
 		if !m.opts.PreviousWindow {
