@@ -485,6 +485,35 @@ func BenchmarkDTreeBuildFast(b *testing.B) {
 	}
 }
 
+// One dt bootstrap replicate tree: a warm builder grows the tree of a
+// half-pool draw (a replicate of D1 from a D1+D2 pool of equal halves)
+// over the pool's ranks, on the workload of BenchmarkDTreeBuildFast.
+// perfbench's dtree.build_s times only the observed build, so this is
+// where a replicate build's own cost shows.
+func BenchmarkDTreeBuildSample(b *testing.B) {
+	b.ReportAllocs()
+	d := dtreeBenchData(b)
+	ranks, err := dtree.NewRanks(d, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	rows := make([]int32, d.Len()/2)
+	for i := range rows {
+		rows[i] = int32(rng.Intn(d.Len()))
+	}
+	builder := dtree.NewBuilder(ranks)
+	if _, err := builder.Build(rows, dtree.Config{MaxDepth: 8, MinLeaf: 50}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := builder.Build(rows, dtree.Config{MaxDepth: 8, MinLeaf: 50}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // The bootstrap qualification step (Section 3.4), the cost of turning a
 // deviation into a significance.
 func BenchmarkQualifyLits(b *testing.B) {
@@ -499,9 +528,10 @@ func BenchmarkQualifyLits(b *testing.B) {
 	}
 }
 
-// The dt bootstrap on the classgen F2/F3 pair: replicate trees grow from
-// the pool's ranks and the GCR overlay is counted through the dense
-// leaf-pair table.
+// The dt bootstrap on the classgen F2/F3 pair: each worker's builders grow
+// the replicate trees over their distinct drawn rows from the pool's
+// ranks, and the GCR overlay is counted from the builds, each distinct row
+// routed through the other tree only.
 func BenchmarkQualifyDT(b *testing.B) {
 	b.ReportAllocs()
 	d1, d2, _, _ := ablationDTData(b)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"focus/internal/dataset"
 	"focus/internal/dtree"
@@ -41,44 +42,72 @@ func (dtClass) MeasureGCR(m1, m2 *DTModel, d1, d2 *dataset.Dataset, cfg *Config)
 }
 
 // newReplicate implements the bootstrapper fast path for dt-models: the
-// pool's numeric attributes are ranked once, and each replicate grows its
-// two trees from those ranks (dtree.BuildSample) instead of sorting every
-// attribute of every resample again. A replicate draws pool row indices
-// with exactly Resample's RNG calls and gathers the drawn tuples, so the
-// trees, the GCR counts and the replicate deviation are bit-identical to
-// the generic Resample/Induce/MeasureGCR path — pinned by
-// TestDTQualifyBootstrapEquivalence.
+// pool is ranked once, and each bootstrap worker owns two dtree.Builders
+// over it, one per replicate tree. A replicate draws pool row indices with
+// exactly Resample's RNG calls and grows each tree over its distinct drawn
+// rows, weighted by their draw counts, instead of gathering and sorting
+// the resample. A build knows the leaf each of its rows ends in, so the
+// GCR counts route each distinct row through the other tree only and add
+// its draw count. The trees, the GCR counts and the replicate deviation
+// are bit-identical to the generic Resample/Induce/MeasureGCR path —
+// pinned by TestDTQualifyBootstrapEquivalence.
 func (c dtClass) newReplicate(pool *dataset.Dataset, cfg *Config) (func() replicateFunc, bool) {
 	ranks, err := dtree.NewRanks(pool, cfg.Parallelism)
 	if err != nil {
 		return nil, false
 	}
-	serial := *cfg
-	serial.Parallelism = 1
-	rep := func(rng *rand.Rand, n1, n2, blockN int, extension bool, f DiffFunc, g AggFunc) float64 {
-		rows1 := drawRows(nil, len(pool.Tuples), n1, rng)
-		var rows2 []int32
-		if extension {
-			rows2 = drawRows(append(make([]int32, 0, n1+blockN), rows1...), len(pool.Tuples), blockN, rng)
-		} else {
-			rows2 = drawRows(nil, len(pool.Tuples), n2, rng)
+	focus := cfg.FocusRegion
+	return func() replicateFunc {
+		b1, b2 := dtree.NewBuilder(ranks), dtree.NewBuilder(ranks)
+		var rows1, rows2 []int32
+		var o dtOverlay
+		var regions []MeasuredRegion
+		// measure adds each distinct row of b's last build to the regions
+		// of the leaf pair it reaches: its leaf in b's own tree, as the
+		// build placed it, and its leaf in the other tree, by routing.
+		measure := func(b *dtree.Builder, other *dtree.Tree, second bool) {
+			b.EachRow(func(row int32, weight, leaf int) {
+				t := pool.Tuples[row]
+				c := t.Class(pool.Schema)
+				if (focus != nil && !focus.Contains(t)) || c < 0 || o.slot[c] < 0 {
+					return
+				}
+				l1, l2 := leaf, other.LeafID(t)
+				if second {
+					l1, l2 = l2, l1
+				}
+				switch r := o.at(l1, l2, c); {
+				case r < 0:
+				case second:
+					regions[r].Alpha2 += float64(weight)
+				default:
+					regions[r].Alpha1 += float64(weight)
+				}
+			})
 		}
-		s1, s2 := gatherRows(pool, rows1), gatherRows(pool, rows2)
-		t1, err := dtree.BuildSample(s1, ranks, rows1, c.cfg)
-		if err != nil {
-			panic(err)
+		return func(rng *rand.Rand, n1, n2, blockN int, extension bool, f DiffFunc, g AggFunc) float64 {
+			rows1 = drawRows(rows1[:0], len(pool.Tuples), n1, rng)
+			if extension {
+				rows2 = drawRows(append(rows2[:0], rows1...), len(pool.Tuples), blockN, rng)
+			} else {
+				rows2 = drawRows(rows2[:0], len(pool.Tuples), n2, rng)
+			}
+			t1, err := b1.Build(rows1, c.cfg)
+			if err != nil {
+				panic(err)
+			}
+			t2, err := b2.Build(rows2, c.cfg)
+			if err != nil {
+				panic(err)
+			}
+			o.reset(t1, t2, focus)
+			regions = slices.Grow(regions[:0], o.n)[:o.n]
+			clear(regions)
+			measure(b1, t2, false)
+			measure(b2, t1, true)
+			return Deviation1(regions, float64(len(rows1)), float64(len(rows2)), f, g)
 		}
-		t2, err := dtree.BuildSample(s2, ranks, rows2, c.cfg)
-		if err != nil {
-			panic(err)
-		}
-		regions, err := dtMeasureGCR(&DTModel{Tree: t1, N: s1.Len()}, &DTModel{Tree: t2, N: s2.Len()}, s1, s2, &serial)
-		if err != nil {
-			panic(err)
-		}
-		return Deviation1(regions, float64(s1.Len()), float64(s2.Len()), f, g)
-	}
-	return func() replicateFunc { return rep }, true
+	}, true
 }
 
 // drawRows appends n row indices drawn with replacement from [0, poolN),
@@ -88,16 +117,6 @@ func drawRows(rows []int32, poolN, n int, rng *rand.Rand) []int32 {
 		rows = append(rows, int32(rng.Intn(poolN)))
 	}
 	return rows
-}
-
-// gatherRows returns the sample whose tuple i is the pool's tuple rows[i],
-// sharing tuple storage with the pool as Resample does.
-func gatherRows(pool *dataset.Dataset, rows []int32) *dataset.Dataset {
-	out := &dataset.Dataset{Schema: pool.Schema, Tuples: make([]dataset.Tuple, len(rows))}
-	for i, p := range rows {
-		out.Tuples[i] = pool.Tuples[p]
-	}
-	return out
 }
 
 // Dt-models have no incremental summary of their own — re-growing a tree

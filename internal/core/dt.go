@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"focus/internal/dataset"
 	"focus/internal/dtree"
@@ -76,6 +77,71 @@ func DTGCRRegions(m1, m2 *DTModel) ([]GCRRegion, error) {
 	return out, nil
 }
 
+// dtOverlay indexes the measured regions of the GCR overlay of two trees
+// (Definition 4.2): the geometrically non-empty leaf pairs in DTGCRRegions
+// order, those outside the focus dropped, each holding one region per
+// class the focus admits.
+type dtOverlay struct {
+	n2 int // leaves of the second tree
+	// slot holds each class's offset within a pair's regions, -1 when the
+	// focus excludes the class.
+	slot []int
+	// pair holds the index of a leaf pair's first region (-1 = not in the
+	// GCR), indexed leaf1*n2+leaf2.
+	pair []int32
+	n    int // number of regions
+}
+
+// reset rebuilds the overlay of t1 and t2 under focus (nil = unfocused),
+// reusing the storage of the previous overlay.
+func (o *dtOverlay) reset(t1, t2 *dtree.Tree, focus *region.Box) {
+	k := t1.NumClasses()
+	o.n2 = t2.NumLeaves()
+	o.slot = o.slot[:0]
+	kept := 0
+	for c := 0; c < k; c++ {
+		if focus == nil || classAllowed(focus, c) {
+			o.slot = append(o.slot, kept)
+			kept++
+		} else {
+			o.slot = append(o.slot, -1)
+		}
+	}
+	o.pair = slices.Grow(o.pair[:0], t1.NumLeaves()*o.n2)[:t1.NumLeaves()*o.n2]
+	for i := range o.pair {
+		o.pair[i] = -1
+	}
+	// A pair is in the GCR when its leaf boxes overlap; unfocused, that is
+	// decided without building the intersection box.
+	var n int32
+	l2 := t2.Leaves()
+	for _, a := range t1.Leaves() {
+		for _, b := range l2 {
+			var in bool
+			if focus == nil {
+				in = a.Box.Overlaps(b.Box)
+			} else if box := a.Box.Intersect(b.Box); box != nil {
+				in = box.Intersect(focus) != nil
+			}
+			if in {
+				o.pair[a.ID*o.n2+b.ID] = n
+				n += int32(kept)
+			}
+		}
+	}
+	o.n = int(n)
+}
+
+// at returns the region of a tuple of class c reaching leaf l1 of the
+// first tree and leaf l2 of the second, or -1 when the overlay has none.
+// The caller has checked that the focus admits c.
+func (o *dtOverlay) at(l1, l2, c int) int {
+	if p := o.pair[l1*o.n2+l2]; p >= 0 {
+		return int(p) + o.slot[c]
+	}
+	return -1
+}
+
 // dtMeasureGCR extends two dt-models to their GCR overlay and measures
 // every refined region against d1 and d2: every tuple of each dataset is
 // routed down both trees simultaneously (a single scan per dataset,
@@ -90,50 +156,11 @@ func dtMeasureGCR(m1, m2 *DTModel, d1, d2 *dataset.Dataset, cfg *Config) ([]Meas
 		return nil, errors.New("core: datasets and models must share one schema")
 	}
 	k := m1.Tree.NumClasses()
-	n2 := m2.Tree.NumLeaves()
 	focus := cfg.FocusRegion
+	var o dtOverlay
+	o.reset(m1.Tree, m2.Tree, focus)
+	regions := make([]MeasuredRegion, o.n)
 
-	// The regions are the (geometrically non-empty) GCR regions in
-	// DTGCRRegions order, those outside the focus dropped. Every kept leaf
-	// pair keeps the same classes — the ones the focus admits — so pair
-	// holds the index of a pair's first region (-1 = none), indexed
-	// leaf1*n2+leaf2, and slot the offset of each kept class within it.
-	slot := make([]int, k)
-	kept := 0
-	for c := range slot {
-		slot[c] = -1
-		if focus == nil || classAllowed(focus, c) {
-			slot[c] = kept
-			kept++
-		}
-	}
-	pair := make([]int32, m1.Tree.NumLeaves()*n2)
-	for i := range pair {
-		pair[i] = -1
-	}
-	// A pair is in the GCR when its leaf boxes overlap; unfocused, that is
-	// decided without building the intersection box.
-	var n int32
-	l2 := m2.Tree.Leaves()
-	for _, a := range m1.Tree.Leaves() {
-		for _, b := range l2 {
-			var in bool
-			if focus == nil {
-				in = a.Box.Overlaps(b.Box)
-			} else if box := a.Box.Intersect(b.Box); box != nil {
-				in = box.Intersect(focus) != nil
-			}
-			if in {
-				pair[a.ID*n2+b.ID] = n
-				n += int32(kept)
-			}
-		}
-	}
-	regions := make([]MeasuredRegion, n)
-
-	inFocus := func(t dataset.Tuple) bool {
-		return focus == nil || focus.Contains(t)
-	}
 	// Route each dataset down both trees with the tuples sharded across
 	// workers. Shards accumulate integer counts into private vectors that
 	// are merged in shard order, so the measures — and therefore the
@@ -148,7 +175,7 @@ func dtMeasureGCR(m1, m2 *DTModel, d1, d2 *dataset.Dataset, cfg *Config) ([]Meas
 			func() *shardAcc { return &shardAcc{counts: make([]float64, len(regions))} },
 			func(acc *shardAcc, ch parallel.Chunk) {
 				for _, t := range d.Tuples[ch.Lo:ch.Hi] {
-					if !inFocus(t) {
+					if focus != nil && !focus.Contains(t) {
 						continue
 					}
 					c := t.Class(d.Schema)
@@ -156,11 +183,11 @@ func dtMeasureGCR(m1, m2 *DTModel, d1, d2 *dataset.Dataset, cfg *Config) ([]Meas
 						acc.err = fmt.Errorf("core: tuple class %d outside model's %d classes", c, k)
 						return
 					}
-					if c < 0 || slot[c] < 0 {
+					if c < 0 || o.slot[c] < 0 {
 						continue
 					}
-					if p := pair[m1.Tree.LeafID(t)*n2+m2.Tree.LeafID(t)]; p >= 0 {
-						acc.counts[int(p)+slot[c]]++
+					if r := o.at(m1.Tree.LeafID(t), m2.Tree.LeafID(t), c); r >= 0 {
+						acc.counts[r]++
 					}
 				}
 			},

@@ -77,8 +77,9 @@ type replicateFunc func(rng *rand.Rand, n1, n2, blockN int, extension bool, f Di
 // ok=false to keep the generic Resample/Induce/MeasureGCR path. Two
 // classes implement it: lits mines exploded view pairs over the packed
 // pool and reuses the mined supports for the GCR (class_lits.go); dt
-// ranks the pool's numeric attributes and grows replicate trees from the
-// ranks (class_dt.go). The replicate values must be bit-identical to the
+// ranks the pool once and grows replicate trees over their distinct drawn
+// rows on per-worker builders, counting the GCR from the builds
+// (class_dt.go). The replicate values must be bit-identical to the
 // generic path — same RNG consumption, same integer counts, same float64
 // reduction.
 type bootstrapper[D any] interface {

@@ -1,9 +1,11 @@
 package dtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"focus/internal/dataset"
@@ -81,20 +83,20 @@ func (c Config) validate() error {
 // configuration must be valid. It returns the configuration with defaults
 // applied.
 func prepare(d *dataset.Dataset, cfg Config) (Config, error) {
-	cfg, err := prepareShape(d, cfg)
+	cfg, err := prepareShape(d.Schema, d.Len(), cfg)
 	if err != nil {
 		return cfg, err
 	}
 	return cfg, checkFinite(d)
 }
 
-// prepareShape is prepare without the NaN scan, for samples of a dataset
-// whose Ranks already proved it NaN-free.
-func prepareShape(d *dataset.Dataset, cfg Config) (Config, error) {
-	if d.Schema.Class < 0 {
+// prepareShape is prepare without the NaN scan, for an n-row sample of a
+// dataset whose Ranks already proved it NaN-free.
+func prepareShape(s *dataset.Schema, n int, cfg Config) (Config, error) {
+	if s.Class < 0 {
 		return cfg, errors.New("dtree: schema has no class attribute")
 	}
-	if d.Len() == 0 {
+	if n == 0 {
 		return cfg, errors.New("dtree: cannot build a tree from an empty dataset")
 	}
 	if err := cfg.validate(); err != nil {
@@ -160,48 +162,17 @@ func Build(d *dataset.Dataset, cfg Config) (*Tree, error) {
 // shards attributes across workers (0 = the process default, 1 = the exact
 // serial path, n >= 2 = n workers) and merges the per-attribute winners in
 // fixed attribute order, so the tree is bit-identical for every setting.
+// It ranks d and grows the tree with a Builder over every row of d, drawn
+// once.
 func BuildP(d *dataset.Dataset, cfg Config, parallelism int) (*Tree, error) {
-	cfg, err := prepare(d, cfg)
-	if err != nil {
+	if _, err := prepare(d, cfg); err != nil {
 		return nil, err
 	}
-	var r *Ranks
-	var rows []int32
-	if resolveSplitSearch(cfg.SplitSearch, d.Len()) == SplitSearchExact {
-		r = rankAttrs(d, parallelism)
-		rows = make([]int32, d.Len())
-		for i := range rows {
-			rows[i] = int32(i)
-		}
+	rows := make([]int32, d.Len())
+	for i := range rows {
+		rows[i] = int32(i)
 	}
-	return grow(newEngine(d, r, rows, cfg, parallelism)), nil
-}
-
-// BuildSample grows, bit for bit, the tree BuildP(sample, cfg, 1) grows,
-// for a sample drawn from a ranked dataset: row i of sample must be row
-// rows[i] of the dataset r ranks. The root attribute lists are counting
-// sorts over r, so a bootstrap that ranks its pool once sorts nothing per
-// replicate.
-func BuildSample(sample *dataset.Dataset, r *Ranks, rows []int32, cfg Config) (*Tree, error) {
-	cfg, err := prepareShape(sample, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) != sample.Len() {
-		return nil, fmt.Errorf("dtree: %d sample rows for a %d-tuple sample", len(rows), sample.Len())
-	}
-	if sample.Schema != r.schema && !sample.Schema.Equal(r.schema) {
-		return nil, errors.New("dtree: sample and ranks have different schemas")
-	}
-	return grow(newEngine(sample, r, rows, cfg, 1)), nil
-}
-
-// grow builds the whole tree of a prepared engine.
-func grow(e *engine) *Tree {
-	t := &Tree{Schema: e.data.Schema}
-	t.Root = e.grow(0, e.data.Len(), 0)
-	numberLeaves(t)
-	return t
+	return NewBuilder(rankAttrs(d, parallelism)).build(rows, cfg, parallelism)
 }
 
 // BuildNaive is the reference CART builder the fast engine is proven
@@ -216,7 +187,7 @@ func BuildNaive(d *dataset.Dataset, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &builder{
+	b := &naiveBuilder{
 		data: d,
 		cfg:  cfg,
 		k:    d.Schema.NumClasses(),
@@ -231,14 +202,14 @@ func BuildNaive(d *dataset.Dataset, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// builder is the naive reference implementation behind BuildNaive.
-type builder struct {
+// naiveBuilder is the reference implementation behind BuildNaive.
+type naiveBuilder struct {
 	data *dataset.Dataset
 	cfg  Config
 	k    int // number of classes
 }
 
-func (b *builder) classCounts(idx []int) []int {
+func (b *naiveBuilder) classCounts(idx []int) []int {
 	counts := make([]int, b.k)
 	for _, i := range idx {
 		counts[b.data.Tuples[i].Class(b.data.Schema)]++
@@ -286,14 +257,29 @@ func numericCut(lo, hi float64) float64 {
 
 // split describes the best split found for a node.
 type split struct {
-	attr       int
-	threshold  float64
-	leftValues []bool
-	gain       float64
-	valid      bool
+	attr      int
+	threshold float64 // numeric
+	// pos locates the cut: the number of list entries left of it (exact
+	// numeric), the last bin left of it (hist numeric), or the number of
+	// values in sweep order left of it (categorical).
+	pos int
+	// values holds a categorical split's present values in sweep order.
+	values []int
+	gain   float64
+	valid  bool
 }
 
-func (b *builder) grow(idx []int, depth int) *Node {
+// leftValues returns a categorical split's left value set over the
+// attribute's card values.
+func (s split) leftValues(card int) []bool {
+	lv := make([]bool, card)
+	for _, v := range s.values[:s.pos] {
+		lv[v] = true
+	}
+	return lv
+}
+
+func (b *naiveBuilder) grow(idx []int, depth int) *Node {
 	counts := b.classCounts(idx)
 	leaf := &Node{ClassCounts: counts}
 	if depth >= b.cfg.MaxDepth || len(idx) < 2*b.cfg.MinLeaf || pure(counts) {
@@ -303,21 +289,20 @@ func (b *builder) grow(idx []int, depth int) *Node {
 	if !best.valid || best.gain < b.cfg.MinGain {
 		return leaf
 	}
-	left, right := b.partition(idx, best)
+	n := &Node{Attr: best.attr, Threshold: best.threshold}
+	if b.data.Schema.Attrs[best.attr].Kind == dataset.Categorical {
+		n.LeftValues = best.leftValues(b.data.Schema.Attrs[best.attr].Cardinality())
+	}
+	left, right := b.partition(idx, n)
 	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
 		return leaf
-	}
-	n := &Node{
-		Attr:       best.attr,
-		Threshold:  best.threshold,
-		LeftValues: best.leftValues,
 	}
 	n.Left = b.grow(left, depth+1)
 	n.Right = b.grow(right, depth+1)
 	return n
 }
 
-func (b *builder) bestSplit(idx []int, counts []int) split {
+func (b *naiveBuilder) bestSplit(idx []int, counts []int) split {
 	parent := gini(counts, len(idx))
 	best := split{}
 	for attr := range b.data.Schema.Attrs {
@@ -340,7 +325,7 @@ func (b *builder) bestSplit(idx []int, counts []int) split {
 // bestNumericSplit sweeps the sorted values of attr, evaluating the gini
 // gain at every cut between distinct consecutive values, honouring MinLeaf
 // on both sides.
-func (b *builder) bestNumericSplit(idx []int, attr int, parent float64) split {
+func (b *naiveBuilder) bestNumericSplit(idx []int, attr int, parent float64) split {
 	type vc struct {
 		v float64
 		c int
@@ -379,86 +364,78 @@ func (b *builder) bestNumericSplit(idx []int, attr int, parent float64) split {
 
 // bestCategoricalSplit builds the attribute's AVC-set (value x class counts,
 // as in RainForest) and hands the sweep to the shared bestCategoricalFromAVC.
-func (b *builder) bestCategoricalSplit(idx []int, attr int, parent float64, counts []int) split {
-	card := b.data.Schema.Attrs[attr].Cardinality()
-	avc := make([][]int, card) // value -> class histogram
-	totals := make([]int, card)
+func (b *naiveBuilder) bestCategoricalSplit(idx []int, attr int, parent float64, counts []int) split {
+	sc := newAttrScratch(b.data.Schema.Attrs[attr].Cardinality(), b.k)
 	for _, j := range idx {
 		t := b.data.Tuples[j]
 		v := int(t[attr])
-		if avc[v] == nil {
-			avc[v] = make([]int, b.k)
-		}
-		avc[v][t.Class(b.data.Schema)]++
-		totals[v]++
+		sc.avc[v*b.k+t.Class(b.data.Schema)]++
+		sc.totals[v]++
 	}
-	return bestCategoricalFromAVC(attr, avc, totals, counts, len(idx), b.k, parent, b.cfg.MinLeaf)
+	return bestCategoricalFromAVC(attr, &sc, counts, len(idx), b.k, parent, b.cfg.MinLeaf)
 }
 
-// bestCategoricalFromAVC orders the present values by proportion of class 0
-// and evaluates every prefix as the left value set — the Breiman ordering
-// that is optimal for binary classes. It is shared by the naive builder and
-// the fast engine so the two compute bit-identical gains from equal AVCs.
-func bestCategoricalFromAVC(attr int, avc [][]int, totals []int, counts []int, n, k int, parent float64, minLeaf int) split {
-	card := len(avc)
-	// Collect present values and order by proportion of class 0.
-	var present []int
-	for v := 0; v < card; v++ {
-		if totals[v] > 0 {
+// bestCategoricalFromAVC orders the present values of the AVC-set in sc
+// by proportion of class 0 and evaluates every prefix as the left value
+// set — the Breiman ordering that is optimal for binary classes. It is
+// shared by the naive builder and the engine so the two compute
+// bit-identical gains from equal AVCs; the engine's AVCs hold weighted
+// counts, which are the same integers. The winning prefix is returned as
+// the first pos of values, which alias sc.present.
+func bestCategoricalFromAVC(attr int, sc *attrScratch, counts []int, n, k int, parent float64, minLeaf int) split {
+	avc, totals := sc.avc, sc.totals
+	present := sc.present[:0]
+	for v, t := range totals {
+		if t > 0 {
 			present = append(present, v)
 		}
 	}
+	sc.present = present
 	if len(present) < 2 {
 		return split{}
 	}
-	sort.Slice(present, func(a, c int) bool {
-		pa := float64(avc[present[a]][0]) / float64(totals[present[a]])
-		pc := float64(avc[present[c]][0]) / float64(totals[present[c]])
-		if pa != pc {
-			return pa < pc
-		}
-		return present[a] < present[c]
+	slices.SortFunc(present, func(a, c int) int {
+		pa := float64(avc[a*k]) / float64(totals[a])
+		pc := float64(avc[c*k]) / float64(totals[c])
+		return cmp.Or(cmp.Compare(pa, pc), cmp.Compare(a, c))
 	})
 
-	leftCounts := make([]int, k)
-	rightCounts := append([]int(nil), counts...)
+	left, right := sc.left, sc.right
+	clear(left)
+	copy(right, counts)
 	nl := 0
-	best := split{attr: attr}
+	best := split{attr: attr, values: present}
 	for i := 0; i < len(present)-1; i++ {
 		v := present[i]
-		for c, cc := range avc[v] {
-			leftCounts[c] += cc
-			rightCounts[c] -= cc
+		for c, cc := range avc[v*k : (v+1)*k] {
+			left[c] += cc
+			right[c] -= cc
 		}
 		nl += totals[v]
 		nr := n - nl
 		if nl < minLeaf || nr < minLeaf {
 			continue
 		}
-		w := parent - (float64(nl)*gini(leftCounts, nl)+float64(nr)*gini(rightCounts, nr))/float64(n)
+		w := parent - (float64(nl)*gini(left, nl)+float64(nr)*gini(right, nr))/float64(n)
 		if !best.valid || w > best.gain {
 			best.valid = true
 			best.gain = w
-			lv := make([]bool, card)
-			for _, pv := range present[:i+1] {
-				lv[pv] = true
-			}
-			best.leftValues = lv
+			best.pos = i + 1
 		}
 	}
 	return best
 }
 
-func (b *builder) partition(idx []int, s split) (left, right []int) {
-	numeric := b.data.Schema.Attrs[s.attr].Kind == dataset.Numeric
+func (b *naiveBuilder) partition(idx []int, n *Node) (left, right []int) {
+	numeric := b.data.Schema.Attrs[n.Attr].Kind == dataset.Numeric
 	for _, j := range idx {
 		t := b.data.Tuples[j]
 		goLeft := false
 		if numeric {
-			goLeft = t[s.attr] <= s.threshold
+			goLeft = t[n.Attr] <= n.Threshold
 		} else {
-			v := int(t[s.attr])
-			goLeft = v >= 0 && v < len(s.leftValues) && s.leftValues[v]
+			v := int(t[n.Attr])
+			goLeft = v >= 0 && v < len(n.LeftValues) && n.LeftValues[v]
 		}
 		if goLeft {
 			left = append(left, j)

@@ -2,17 +2,21 @@ package dtree
 
 import (
 	"fmt"
+	"slices"
 
-	"focus/internal/dataset"
 	"focus/internal/parallel"
 )
 
-// This file is the fast induction engine behind Build/BuildP: per-node
-// numeric split search over the presorted attribute lists of attrlist.go
-// (exact mode, the default — bit-identical to BuildNaive) or over the
-// root-binned histograms of histogram.go (hist mode), with the attributes
-// searched on parallel workers and the winners merged in fixed attribute
-// order so the tree is independent of the worker count.
+// This file is the induction engine behind BuildP and Builder.Build: the
+// per-node split search over the weighted units of attrlist.go — numeric
+// attributes swept over their packed presorted lists (exact mode, the
+// default — bit-identical to BuildNaive) or over the root-binned
+// histograms of histogram.go (hist mode), categorical ones through
+// weighted AVC-sets — with the attributes searched on parallel workers and
+// the winners merged in fixed attribute order so the tree is independent
+// of the worker count. A split is realized from the unit columns alone:
+// an exact numeric split by position in its winning list, a hist one by
+// bin, a categorical one by code; no float value is read to partition.
 
 // SplitSearch selects the numeric split-search engine of Build.
 type SplitSearch string
@@ -83,123 +87,68 @@ func resolveSplitSearch(s SplitSearch, n int) SplitSearch {
 	}
 }
 
-// engine grows one tree. It is single-goroutine except for bestSplit,
-// which fans the per-attribute searches out over parallel workers.
-type engine struct {
-	data *dataset.Dataset
-	cfg  Config
-	k    int // number of classes
-	par  int // parallelism knob (0 = process default, 1 = serial)
-	mode SplitSearch
-
-	class      int   // class attribute index
-	splitAttrs []int // every attribute except the class, ascending
-
-	al   *attrLists
-	hist *histIndex // hist mode only
-}
-
-// newEngine prepares the root state of a build over d, whose row i is the
-// ranked dataset's row rows[i]: attribute lists from the ranks in exact
-// mode, quantile bins of d in hist mode (which ignores r and rows).
-func newEngine(d *dataset.Dataset, r *Ranks, rows []int32, cfg Config, parallelism int) *engine {
-	e := &engine{
-		data:  d,
-		cfg:   cfg,
-		k:     d.Schema.NumClasses(),
-		par:   parallelism,
-		mode:  resolveSplitSearch(cfg.SplitSearch, d.Len()),
-		class: d.Schema.Class,
-	}
-	for a := range d.Schema.Attrs {
-		if a != e.class {
-			e.splitAttrs = append(e.splitAttrs, a)
-		}
-	}
-	if e.mode == SplitSearchHist {
-		e.al = newAttrLists(d.Len(), nil, nil, parallelism)
-		e.hist = newHistIndex(d, numericAttrs(d.Schema), cfg.HistBins, parallelism)
-	} else {
-		e.al = newAttrLists(d.Len(), r, rows, parallelism)
-	}
-	return e
-}
-
-// classOf returns the class index of a row id.
-func (e *engine) classOf(id int32) int {
-	return int(e.data.Tuples[id][e.class])
-}
-
-// classCounts histograms the classes of a row segment.
-func (e *engine) classCounts(rows []int32) []int {
-	counts := make([]int, e.k)
-	for _, id := range rows {
-		counts[e.classOf(id)]++
-	}
-	return counts
-}
-
-// grow builds the subtree over the row segment [lo, hi). The stopping
+// grow builds the subtree over the unit segment [lo, hi). The stopping
 // rules, split selection and realized-MinLeaf guard mirror the reference
-// builder exactly.
-func (e *engine) grow(lo, hi, depth int) *Node {
-	counts := e.classCounts(e.al.rows[lo:hi])
-	leaf := &Node{ClassCounts: counts}
-	if depth >= e.cfg.MaxDepth || hi-lo < 2*e.cfg.MinLeaf || pure(counts) {
-		return leaf
+// builder exactly, on weighted sizes.
+func (b *Builder) grow(lo, hi, depth int) *Node {
+	counts := b.counts
+	clear(counts)
+	n := 0
+	for _, u := range b.rows[lo:hi] {
+		w := int(b.weight[u])
+		counts[b.class[u]] += w
+		n += w
 	}
-	best := e.bestSplit(lo, hi, counts)
-	if !best.valid || best.gain < e.cfg.MinGain {
-		return leaf
+	if depth >= b.cfg.MaxDepth || n < 2*b.cfg.MinLeaf || pure(counts) {
+		return b.leaf(hi, counts)
 	}
-	nl := e.partition(lo, hi, best)
-	if nl < e.cfg.MinLeaf || (hi-lo)-nl < e.cfg.MinLeaf {
-		return leaf
+	best := b.bestSplit(lo, hi, n, counts)
+	if !best.valid || best.gain < b.cfg.MinGain {
+		return b.leaf(hi, counts)
 	}
-	n := &Node{
-		Attr:       best.attr,
-		Threshold:  best.threshold,
-		LeftValues: best.leftValues,
+	node := &Node{Attr: best.attr, Threshold: best.threshold, LeafID: -1}
+	if b.codes[best.attr] != nil {
+		node.LeftValues = best.leftValues(len(b.attr[best.attr].totals))
 	}
-	n.Left = e.grow(lo, lo+nl, depth+1)
-	n.Right = e.grow(lo+nl, hi, depth+1)
+	nl, ul := b.partition(lo, hi, best, node.LeftValues)
+	if nl < b.cfg.MinLeaf || n-nl < b.cfg.MinLeaf {
+		return b.leaf(hi, counts)
+	}
+	node.Left = b.grow(lo, lo+ul, depth+1)
+	node.Right = b.grow(lo+ul, hi, depth+1)
+	return node
+}
+
+// leaf closes the segment ending at hi as the next leaf in DFS order —
+// the order numberLeaves assigns ids in.
+func (b *Builder) leaf(hi int, counts []int) *Node {
+	n := &Node{LeafID: len(b.leaves), ClassCounts: slices.Clone(counts)}
+	b.leaves = append(b.leaves, n)
+	b.leafEnd = append(b.leafEnd, int32(hi))
 	return n
 }
 
 // bestSplit searches every non-class attribute for the node's best split.
-// Attributes are independent, so they run on parallel workers writing
-// per-attribute result slots; the merge then walks the slots in ascending
-// attribute order applying the serial loop's exact rule (strictly greater
-// gain wins, ties keep the earlier attribute), so the winner is
-// bit-identical to the serial search for every worker count.
-func (e *engine) bestSplit(lo, hi int, counts []int) split {
-	parent := gini(counts, hi-lo)
-	results := make([]split, len(e.splitAttrs))
-	search := func(i int) {
-		attr := e.splitAttrs[i]
-		if e.data.Schema.Attrs[attr].Kind == dataset.Numeric {
-			if e.mode == SplitSearchHist {
-				results[i] = e.bestNumericSplitHist(lo, hi, attr, parent, counts)
-			} else {
-				results[i] = e.bestNumericSplitList(lo, hi, attr, parent, counts)
-			}
-		} else {
-			results[i] = e.bestCategoricalSplit(lo, hi, attr, parent, counts)
-		}
-	}
-	if hi-lo < parallelSplitMinRows || parallel.Workers(e.par) == 1 {
-		for i := range e.splitAttrs {
-			search(i)
+// Attributes are independent, so large nodes search them on parallel
+// workers writing per-attribute result slots; the merge then walks the
+// slots in ascending attribute order applying the serial loop's exact rule
+// (strictly greater gain wins, ties keep the earlier attribute), so the
+// winner is bit-identical to the serial search for every worker count.
+func (b *Builder) bestSplit(lo, hi, n int, counts []int) split {
+	parent := gini(counts, n)
+	if hi-lo < parallelSplitMinRows || parallel.Workers(b.par) == 1 {
+		for i, a := range b.splitAttrs {
+			b.results[i] = b.search(a, lo, hi, n, parent, counts)
 		}
 	} else {
-		parallel.Do(len(e.splitAttrs), e.par, func(_ int, c parallel.Chunk) {
+		parallel.Do(len(b.splitAttrs), b.par, func(_ int, c parallel.Chunk) {
 			for i := c.Lo; i < c.Hi; i++ {
-				search(i)
+				b.results[i] = b.search(b.splitAttrs[i], lo, hi, n, parent, counts)
 			}
 		})
 	}
 	best := split{}
-	for _, s := range results {
+	for _, s := range b.results {
 		if s.valid && (!best.valid || s.gain > best.gain) {
 			best = s
 		}
@@ -207,92 +156,150 @@ func (e *engine) bestSplit(lo, hi int, counts []int) split {
 	return best
 }
 
+// search finds attribute a's best split of the node.
+func (b *Builder) search(a, lo, hi, n int, parent float64, counts []int) split {
+	switch {
+	case b.codes[a] != nil:
+		return b.bestCategoricalSplit(a, lo, hi, n, parent, counts)
+	case b.mode == SplitSearchHist:
+		return b.bestNumericSplitHist(a, lo, hi, n, parent, counts)
+	default:
+		return b.bestNumericSplitList(a, lo, hi, n, parent, counts)
+	}
+}
+
 // bestNumericSplitList sweeps the node's presorted attribute-list segment:
-// one linear pass over the rows in ascending value order, evaluating the
-// gain at every cut between distinct consecutive values — the same
-// candidate cuts, counts and float operations as the reference builder's
-// per-node re-sort, without the sort.
-func (e *engine) bestNumericSplitList(lo, hi, attr int, parent float64, counts []int) split {
-	list := e.al.lists[attr][lo:hi]
-	leftCounts := make([]int, e.k)
-	rightCounts := append([]int(nil), counts...)
-	n := hi - lo
-	best := split{attr: attr}
-	for i := 0; i < n-1; i++ {
-		id := list[i]
-		c := e.classOf(id)
-		leftCounts[c]++
-		rightCounts[c]--
-		v, vn := e.data.Tuples[id][attr], e.data.Tuples[list[i+1]][attr]
-		if v == vn {
-			continue // not a valid cut point
+// one linear pass in ascending rank order, evaluating the gain at every
+// cut between distinct consecutive ranks — the same candidate cuts,
+// weighted counts and float operations as the reference builder's per-node
+// re-sort, without the sort. The cut is kept as a list position; the
+// threshold is computed once, from the two values either side of it.
+func (b *Builder) bestNumericSplitList(a, lo, hi, n int, parent float64, counts []int) split {
+	list := b.lists[a][lo:hi]
+	sc := &b.attr[a]
+	left, right := sc.left, sc.right
+	clear(left)
+	copy(right, counts)
+	minLeaf := b.cfg.MinLeaf
+	best := split{attr: a}
+	nl := 0
+	for i := 0; i < len(list)-1; i++ {
+		e := list[i]
+		u := uint32(e)
+		c, w := b.class[u], int(b.weight[u])
+		left[c] += w
+		right[c] -= w
+		nl += w
+		if e>>32 == list[i+1]>>32 {
+			continue // equal values: not a valid cut point
 		}
-		nl := i + 1
 		nr := n - nl
-		if nl < e.cfg.MinLeaf || nr < e.cfg.MinLeaf {
+		if nl < minLeaf || nr < minLeaf {
 			continue
 		}
-		w := parent - (float64(nl)*gini(leftCounts, nl)+float64(nr)*gini(rightCounts, nr))/float64(n)
-		if !best.valid || w > best.gain {
+		g := parent - (float64(nl)*gini(left, nl)+float64(nr)*gini(right, nr))/float64(n)
+		if !best.valid || g > best.gain {
 			best.valid = true
-			best.gain = w
-			best.threshold = numericCut(v, vn)
+			best.gain = g
+			best.pos = i + 1
 		}
+	}
+	if best.valid {
+		best.threshold = numericCut(b.value(list[best.pos-1], a), b.value(list[best.pos], a))
 	}
 	return best
 }
 
-// bestCategoricalSplit builds the attribute's AVC-set from the node's row
-// segment and hands the sweep to the shared bestCategoricalFromAVC.
-func (e *engine) bestCategoricalSplit(lo, hi, attr int, parent float64, counts []int) split {
-	card := e.data.Schema.Attrs[attr].Cardinality()
-	avc := make([][]int, card)
-	totals := make([]int, card)
-	for _, id := range e.al.rows[lo:hi] {
-		t := e.data.Tuples[id]
-		v := int(t[attr])
-		if avc[v] == nil {
-			avc[v] = make([]int, e.k)
-		}
-		avc[v][e.classOf(id)]++
-		totals[v]++
+// bestCategoricalSplit builds the attribute's weighted AVC-set from the
+// node's unit segment and hands the sweep to the shared
+// bestCategoricalFromAVC.
+func (b *Builder) bestCategoricalSplit(a, lo, hi, n int, parent float64, counts []int) split {
+	sc := &b.attr[a]
+	clear(sc.avc)
+	clear(sc.totals)
+	codes := b.codes[a]
+	for _, u := range b.rows[lo:hi] {
+		v, w := int(codes[u]), int(b.weight[u])
+		sc.avc[v*b.k+int(b.class[u])] += w
+		sc.totals[v] += w
 	}
-	return bestCategoricalFromAVC(attr, avc, totals, counts, hi-lo, e.k, parent, e.cfg.MinLeaf)
+	return bestCategoricalFromAVC(a, sc, counts, n, b.k, parent, b.cfg.MinLeaf)
 }
 
-// partition realizes the split on the segment [lo, hi): rows are marked by
-// the split predicate (the same predicate Tree.route applies), then the
-// row list and — in exact mode — every numeric attribute list are
-// stable-partitioned, which keeps each child's list segments sorted. It
-// returns the realized left size.
-func (e *engine) partition(lo, hi int, s split) int {
-	rows := e.al.rows[lo:hi]
-	numeric := e.data.Schema.Attrs[s.attr].Kind == dataset.Numeric
-	nl := 0
-	for _, id := range rows {
-		t := e.data.Tuples[id]
-		goLeft := false
-		if numeric {
-			goLeft = t[s.attr] <= s.threshold
+// partition realizes the split on the segment [lo, hi) from the unit
+// columns: an exact numeric split sends the first s.pos entries of its
+// list left — the cut the sweep counted, which numericCut's threshold
+// routes identically — a hist split the units binned at or below s.pos,
+// a categorical split the units whose code is in lv. The row list and, in
+// exact mode, every other numeric list are then stable-partitioned, which
+// keeps each child's list segments sorted. It returns the realized left
+// weight and unit count.
+func (b *Builder) partition(lo, hi int, s split, lv []bool) (nl, ul int) {
+	rows := b.rows[lo:hi]
+	switch {
+	case lv != nil:
+		codes := b.codes[s.attr]
+		for _, u := range rows {
+			left := lv[codes[u]]
+			b.side[u] = left
+			if left {
+				nl += int(b.weight[u])
+				ul++
+			}
+		}
+	case b.mode == SplitSearchHist:
+		bins := b.bins[s.attr]
+		for _, u := range rows {
+			left := int(bins[u]) <= s.pos
+			b.side[u] = left
+			if left {
+				nl += int(b.weight[u])
+				ul++
+			}
+		}
+	default:
+		for i, e := range b.lists[s.attr][lo:hi] {
+			u := uint32(e)
+			left := i < s.pos
+			b.side[u] = left
+			if left {
+				nl += int(b.weight[u])
+			}
+		}
+		ul = s.pos
+	}
+	stablePartition(rows, b.side, b.scratch32, ul)
+	if b.mode == SplitSearchExact {
+		for _, a := range b.numeric {
+			if a != s.attr {
+				stablePartition(b.lists[a][lo:hi], b.side, b.scratch64, ul)
+			}
+		}
+	}
+	return nl, ul
+}
+
+// rootAttrs builds every numeric attribute's root list (exact mode) or
+// root bins (hist mode), one attribute per parallel worker.
+func (b *Builder) rootAttrs() {
+	hist := b.mode == SplitSearchHist
+	if parallel.Workers(b.par) == 1 {
+		for _, a := range b.numeric {
+			if hist {
+				b.binRoot(a)
+			} else {
+				b.listRoot(a)
+			}
+		}
+		return
+	}
+	forEachAttr(b.numeric, b.par, func(a int) {
+		if hist {
+			b.binRoot(a)
 		} else {
-			v := int(t[s.attr])
-			goLeft = v >= 0 && v < len(s.leftValues) && s.leftValues[v]
+			b.listRoot(a)
 		}
-		e.al.side[id] = goLeft
-		if goLeft {
-			nl++
-		}
-	}
-	if nl == 0 || nl == hi-lo {
-		return nl
-	}
-	stablePartition(rows, e.al.side, e.al.scratch, nl)
-	for _, list := range e.al.lists {
-		if list != nil {
-			stablePartition(list[lo:hi], e.al.side, e.al.scratch, nl)
-		}
-	}
-	return nl
+	})
 }
 
 // forEachAttr runs body once per listed attribute, fanning out over

@@ -1,16 +1,11 @@
 package dtree
 
-import (
-	"sort"
-
-	"focus/internal/dataset"
-)
-
 // This file implements the pre-binned histogram split search
 // (SplitSearchHist): quantile bin edges are computed once at the root from
-// each numeric attribute's sorted values, every row is assigned its bin id
-// once, and the per-node numeric search reduces to one pass building a
-// bin-by-class histogram plus a sweep over bin boundaries. Candidate cuts
+// each numeric attribute's sorted sample values, every unit is assigned
+// its bin id once, and the per-node numeric search reduces to one pass
+// building a weighted bin-by-class histogram plus a sweep over bin
+// boundaries. Candidate cuts
 // are restricted to bin edges — each edge is an actual data value, so the
 // partition a chosen threshold realizes matches the swept histogram counts
 // exactly.
@@ -21,43 +16,35 @@ const defaultHistBins = 64
 // maxHistBins bounds HistBins so bin ids fit in uint16.
 const maxHistBins = 65535
 
-// histIndex is the root binning of every numeric attribute.
-type histIndex struct {
-	// edges maps each numeric attribute to its ascending distinct cut
-	// values; a row belongs to bin j when its value is <= edges[j] and
-	// > edges[j-1]. The last edge is the attribute's maximum value, so
-	// every row has a bin. Nil for categorical attributes.
-	edges [][]float64
-	// bins maps each numeric attribute to the per-row bin ids.
-	bins [][]uint16
-}
-
-// newHistIndex computes quantile edges and per-row bin ids for the listed
-// numeric attributes, fanning the per-attribute work out over parallel
-// workers (each attribute's slots are written by exactly one worker).
-func newHistIndex(d *dataset.Dataset, numeric []int, histBins, parallelism int) *histIndex {
-	n := d.Len()
-	hi := &histIndex{
-		edges: make([][]float64, len(d.Schema.Attrs)),
-		bins:  make([][]uint16, len(d.Schema.Attrs)),
+// binRoot computes attribute a's quantile edges over the sample — the
+// sorted multiset of its drawn values, each unit's value repeated by its
+// weight — and bins every unit. The ranked order walks the units in
+// ascending value, so a unit's bin, the smallest edge at or above its
+// value, is found by a forward scan instead of a binary search.
+func (b *Builder) binRoot(a int) {
+	sc := &b.attr[a]
+	vals := sc.vals[:0]
+	for _, e := range b.r.order[a] {
+		if s := b.slot[uint32(e)]; s > 0 {
+			v := b.r.data.Tuples[uint32(e)][a]
+			for w := b.weight[s-1]; w > 0; w-- {
+				vals = append(vals, v)
+			}
+		}
 	}
-	forEachAttr(numeric, parallelism, func(a int) {
-		vals := make([]float64, n)
-		for i, t := range d.Tuples {
-			vals[i] = t[a]
+	sc.vals = vals
+	edges := quantileEdges(vals, b.cfg.HistBins)
+	bins := resize(b.bins[a], len(b.row))
+	j := 0
+	for _, e := range b.r.order[a] {
+		if s := b.slot[uint32(e)]; s > 0 {
+			for b.r.data.Tuples[uint32(e)][a] > edges[j] {
+				j++
+			}
+			bins[s-1] = uint16(j)
 		}
-		sort.Float64s(vals)
-		edges := quantileEdges(vals, histBins)
-		bins := make([]uint16, n)
-		for i, t := range d.Tuples {
-			// The smallest edge >= the value; the last edge is the max, so
-			// the search always lands.
-			bins[i] = uint16(sort.SearchFloat64s(edges, t[a]))
-		}
-		hi.edges[a] = edges
-		hi.bins[a] = bins
-	})
-	return hi
+	}
+	b.edges[a], b.bins[a] = edges, bins
 }
 
 // quantileEdges picks at most b ascending distinct edge values from the
@@ -74,6 +61,11 @@ func quantileEdges(s []float64, b int) []float64 {
 			idx = 0 // fewer values than bins: early ranks collapse onto the minimum
 		}
 		v := s[idx]
+		if v == 0 {
+			// -0 and +0 are one value: the edge is +0 whichever of them
+			// the sort put at idx.
+			v = 0
+		}
 		if len(edges) == 0 || v > edges[len(edges)-1] {
 			edges = append(edges, v)
 		}
@@ -81,43 +73,49 @@ func quantileEdges(s []float64, b int) []float64 {
 	return edges
 }
 
-// bestNumericSplitHist builds the node's bin-by-class histogram in one pass
-// over the row segment and sweeps the bin boundaries, evaluating the gain
-// with the same float operations as the exact sweep. The returned
-// threshold is the winning bin's upper edge — an actual data value — so
-// routing value <= threshold realizes exactly the swept counts.
-func (e *engine) bestNumericSplitHist(lo, hi, attr int, parent float64, counts []int) split {
-	edges := e.hist.edges[attr]
+// bestNumericSplitHist builds the node's weighted bin-by-class histogram
+// in one pass over the unit segment and sweeps the bin boundaries,
+// evaluating the gain with the same float operations as the exact sweep.
+// The returned threshold is the winning bin's upper edge — an actual data
+// value — so routing value <= threshold realizes exactly the swept counts,
+// as the units binned at or below the winning bin do.
+func (b *Builder) bestNumericSplitHist(a, lo, hi, n int, parent float64, counts []int) split {
+	edges := b.edges[a]
 	nb := len(edges)
-	best := split{attr: attr}
+	best := split{attr: a}
 	if nb < 2 {
 		return best // single distinct value: no cut exists
 	}
-	binOf := e.hist.bins[attr]
-	h := make([]int, nb*e.k)
-	for _, id := range e.al.rows[lo:hi] {
-		h[int(binOf[id])*e.k+e.classOf(id)]++
+	k := b.k
+	sc := &b.attr[a]
+	h := resize(sc.hist, nb*k)
+	clear(h)
+	sc.hist = h
+	bins := b.bins[a]
+	for _, u := range b.rows[lo:hi] {
+		h[int(bins[u])*k+int(b.class[u])] += int(b.weight[u])
 	}
-	leftCounts := make([]int, e.k)
-	rightCounts := append([]int(nil), counts...)
-	n := hi - lo
+	left, right := sc.left, sc.right
+	clear(left)
+	copy(right, counts)
+	minLeaf := b.cfg.MinLeaf
 	nl := 0
 	for j := 0; j < nb-1; j++ {
-		row := h[j*e.k : (j+1)*e.k]
-		for c, cc := range row {
-			leftCounts[c] += cc
-			rightCounts[c] -= cc
+		for c, cc := range h[j*k : (j+1)*k] {
+			left[c] += cc
+			right[c] -= cc
 			nl += cc
 		}
 		nr := n - nl
-		if nl < e.cfg.MinLeaf || nr < e.cfg.MinLeaf {
+		if nl < minLeaf || nr < minLeaf {
 			continue
 		}
-		w := parent - (float64(nl)*gini(leftCounts, nl)+float64(nr)*gini(rightCounts, nr))/float64(n)
-		if !best.valid || w > best.gain {
+		g := parent - (float64(nl)*gini(left, nl)+float64(nr)*gini(right, nr))/float64(n)
+		if !best.valid || g > best.gain {
 			best.valid = true
-			best.gain = w
+			best.gain = g
 			best.threshold = edges[j]
+			best.pos = j
 		}
 	}
 	return best
