@@ -67,9 +67,6 @@ type config struct {
 	par         int
 	counterName string
 	counter     apriori.Counter
-	searchName  string
-	splitSearch dtree.SplitSearch
-	histBins    int
 
 	attrs      string
 	bins       int
@@ -103,8 +100,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.BoolVar(&cfg.showBound, "bound", false, "also print the delta* upper bound (lits only)")
 	fs.IntVar(&cfg.par, "parallelism", 0, "worker count for scans and bootstrap (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&cfg.counterName, "counter", "auto", "lits counting backend: auto, trie or bitmap (bit-identical output)")
-	fs.StringVar(&cfg.searchName, "split-search", "exact", "dt numeric split search: exact, hist or auto")
-	fs.IntVar(&cfg.histBins, "histbins", 0, "dt hist-mode quantile bins per attribute (0 = default)")
 	fs.StringVar(&cfg.attrs, "attrs", "salary,age", "cluster grid attributes (comma-separated numeric attribute names)")
 	fs.IntVar(&cfg.bins, "bins", 8, "cluster grid bins per attribute")
 	fs.Float64Var(&cfg.minDensity, "mindensity", 0.02, "cluster minimum cell density")
@@ -133,10 +128,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	cfg.counter, err = apriori.ParseCounter(cfg.counterName)
-	if err != nil {
-		return err
-	}
-	cfg.splitSearch, err = dtree.ParseSplitSearch(cfg.searchName)
 	if err != nil {
 		return err
 	}
@@ -171,12 +162,7 @@ func qualifyOptions(cfg *config) []core.Option {
 // dtConfig assembles the tree-growth configuration shared by the dt batch
 // and follow modes.
 func dtConfig(cfg *config) dtree.Config {
-	return dtree.Config{
-		MaxDepth:    cfg.maxDepth,
-		MinLeaf:     cfg.minLeaf,
-		SplitSearch: cfg.splitSearch,
-		HistBins:    cfg.histBins,
-	}
+	return dtree.Config{MaxDepth: cfg.maxDepth, MinLeaf: cfg.minLeaf}
 }
 
 func runLits(cfg *config, path1, path2 string, w io.Writer) error {

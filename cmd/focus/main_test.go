@@ -174,12 +174,6 @@ func TestGolden(t *testing.T) {
 		{"lits-follow-prev", []string{
 			"-model", "lits", "-follow", "-prev", "-minsup", "0.02", "-batch", "250", "-window", "1", "-parallelism", "1",
 			refTxns, streamTxns}},
-		// The dt golden args on the histogram split search: a binned tree is
-		// a different (coarser-cut) tree, so it earns its own golden.
-		{"dt-hist", []string{
-			"-model", "dt", "-split-search", "hist", "-histbins", "32",
-			"-maxdepth", "5", "-minleaf", "40", "-parallelism", "1",
-			refCSV, streamCSV}},
 		// The lits golden args forced onto the bitmap backend: the counting
 		// backend must never change a byte of output (see
 		// TestCounterGoldenIdentical, which pins this golden to lits.golden).
@@ -210,6 +204,10 @@ func TestGoldenParallelismInvariant(t *testing.T) {
 		{"lits-follow", []string{
 			"-model", "lits", "-follow", "-minsup", "0.02", "-batch", "200", "-window", "2", "-parallelism", "4",
 			refTxns, streamTxns}},
+		{"dt", []string{
+			"-model", "dt", "-maxdepth", "5", "-minleaf", "40",
+			"-qualify", "-replicates", "19", "-seed", "2", "-parallelism", "4",
+			refCSV, streamCSV}},
 		{"dt-follow-alert", []string{
 			"-model", "dt", "-follow", "-batch", "300", "-window", "2", "-threshold", "0.15",
 			"-maxdepth", "5", "-minleaf", "40", "-parallelism", "4",
@@ -271,27 +269,6 @@ func TestCounterGoldenIdentical(t *testing.T) {
 	}
 }
 
-// TestSplitSearchGoldenIdentical proves the exact-engine equivalence at the
-// CLI level: -split-search exact is the default engine, and auto resolves
-// to exact below the size cutoff, so both must reproduce dt.golden
-// byte-for-byte — at any parallelism.
-func TestSplitSearchGoldenIdentical(t *testing.T) {
-	_, _, refCSV, streamCSV := inputs(t)
-	for _, search := range []string{"exact", "auto"} {
-		for _, par := range []string{"1", "4"} {
-			var buf bytes.Buffer
-			args := []string{
-				"-model", "dt", "-split-search", search, "-maxdepth", "5", "-minleaf", "40",
-				"-qualify", "-replicates", "19", "-seed", "2", "-parallelism", par,
-				refCSV, streamCSV}
-			if err := run(args, &buf); err != nil {
-				t.Fatalf("-split-search %s -parallelism %s: %v", search, par, err)
-			}
-			checkGolden(t, "dt", buf.Bytes())
-		}
-	}
-}
-
 // TestCounterFlagErrors pins the usage error for invalid -counter values.
 func TestCounterFlagErrors(t *testing.T) {
 	refTxns, _, _, _ := inputs(t)
@@ -324,7 +301,6 @@ func TestRunErrors(t *testing.T) {
 		{"missing-file", []string{"-model", "lits", refTxns, filepath.Join(t.TempDir(), "absent.txns")}, "absent"},
 		{"bad-batch", []string{"-model", "lits", "-follow", "-batch", "0", refTxns, refTxns}, "batch size"},
 		{"bad-counter", []string{"-model", "lits", "-counter", "zz", refTxns, refTxns}, "unknown counter"},
-		{"bad-split-search", []string{"-model", "dt", "-split-search", "btree", refCSV, streamCSV}, "unknown split search"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

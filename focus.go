@@ -219,11 +219,6 @@ type (
 	Tree = dtree.Tree
 	// TreeConfig controls decision-tree growth.
 	TreeConfig = dtree.Config
-	// SplitSearch selects the numeric split-search engine of tree growth:
-	// SplitSearchExact (the default) sweeps every cut over presorted
-	// attribute lists, SplitSearchHist searches root-quantile bin edges,
-	// SplitSearchAuto picks by dataset size.
-	SplitSearch = dtree.SplitSearch
 	// Grid discretizes numeric attributes for cluster-models.
 	Grid = cluster.Grid
 	// GCRRegion is one region of a dt-model GCR overlay.
@@ -393,19 +388,6 @@ func BuildDTModel(d *Dataset, cfg TreeConfig) (*DTModel, error) {
 // count.
 func BuildDTModelP(d *Dataset, cfg TreeConfig, parallelism int) (*DTModel, error) {
 	return core.BuildDTModelP(d, cfg, parallelism)
-}
-
-// The split-search engines of TreeConfig.SplitSearch.
-const (
-	SplitSearchExact = dtree.SplitSearchExact
-	SplitSearchHist  = dtree.SplitSearchHist
-	SplitSearchAuto  = dtree.SplitSearchAuto
-)
-
-// ParseSplitSearch validates a split-search name ("exact", "hist" or
-// "auto"; "" means exact).
-func ParseSplitSearch(name string) (SplitSearch, error) {
-	return dtree.ParseSplitSearch(name)
 }
 
 // NewGrid builds a clustering grid over numeric attributes of s.

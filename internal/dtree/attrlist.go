@@ -175,9 +175,8 @@ type Builder struct {
 	numeric    []int // the numeric ones among them
 
 	// Per build.
-	cfg  Config
-	par  int // parallelism knob (0 = process default, 1 = serial)
-	mode SplitSearch
+	cfg Config
+	par int // parallelism knob (0 = process default, 1 = serial)
 
 	// slot counts each ranked row's draws while a build starts, then holds
 	// its unit index + 1; it is all zero between builds.
@@ -190,10 +189,8 @@ type Builder struct {
 	// The node-ordered storage. Every slice is segmented by node: a node
 	// owns the half-open range [lo, hi) of units and of every list, its
 	// left child [lo, lo+ul) and its right child [lo+ul, hi).
-	rows  []int32     // units; class counts and AVC-sets are summed from it
-	lists [][]uint64  // exact mode: numeric attribute → rank<<32 | unit
-	bins  [][]uint16  // hist mode: numeric attribute → per-unit bin ids
-	edges [][]float64 // hist mode: numeric attribute → ascending bin edges
+	rows  []int32    // units; class counts and AVC-sets are summed from it
+	lists [][]uint64 // numeric attribute → rank<<32 | unit
 	// side marks, per unit, the side of the split being realized (true =
 	// left), so every list partition of one split shares one marking pass.
 	side      []bool
@@ -215,10 +212,6 @@ type attrScratch struct {
 	// Categorical: the weighted AVC-set indexed value*k+class, the value
 	// totals, and the present values in sweep order.
 	avc, totals, present []int
-	// Hist mode: the bin-by-class histogram and the expanded sorted
-	// values the root edges are read from.
-	hist []int
-	vals []float64
 }
 
 // newAttrScratch sizes the scratch of an attribute of the given
@@ -243,8 +236,6 @@ func NewBuilder(r *Ranks) *Builder {
 		slot:    make([]int32, r.data.Len()),
 		codes:   make([][]int32, len(s.Attrs)),
 		lists:   make([][]uint64, len(s.Attrs)),
-		bins:    make([][]uint16, len(s.Attrs)),
-		edges:   make([][]float64, len(s.Attrs)),
 		counts:  make([]int, s.NumClasses()),
 		attr:    make([]attrScratch, len(s.Attrs)),
 	}
@@ -296,7 +287,6 @@ func (b *Builder) build(rows []int32, cfg Config, parallelism int) (*Tree, error
 		}
 	}
 	b.cfg, b.par = cfg, parallelism
-	b.mode = resolveSplitSearch(cfg.SplitSearch, len(rows))
 	b.setUnits(rows)
 	b.rootAttrs()
 	b.leafEnd = b.leafEnd[:0]

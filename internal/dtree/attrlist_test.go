@@ -253,8 +253,7 @@ func TestBuildSampleMatchesBuildP(t *testing.T) {
 			cfgs = append(cfgs, Config{MaxDepth: depth, MinLeaf: minLeaf})
 		}
 	}
-	cfgs = append(cfgs, Config{MaxDepth: 6, MinLeaf: 5}, Config{MaxDepth: 3, MinLeaf: 40},
-		Config{SplitSearch: SplitSearchHist, HistBins: 8}, Config{SplitSearch: SplitSearchHist, MinLeaf: 2, MaxDepth: 1 << 20})
+	cfgs = append(cfgs, Config{MaxDepth: 6, MinLeaf: 5}, Config{MaxDepth: 3, MinLeaf: 40})
 	for _, pc := range pools {
 		for _, dup := range []bool{false, true} {
 			pool := pc.d
@@ -315,10 +314,7 @@ func FuzzBuildSample(f *testing.F) {
 		if cfg.MaxDepth == 8 {
 			cfg.MaxDepth = 1 << 20
 		}
-		if data[1]&1 == 1 {
-			cfg.SplitSearch, cfg.HistBins = SplitSearchHist, 2+int(data[1]>>1)%7
-		}
-		poolN := 1 + int(data[2])%24
+		poolN := 1 + int(data[2])%24 // data[1] is unused; the seeds keep their layout
 		data = data[3:]
 		pool := dataset.New(s)
 		for i := 0; i < poolN; i++ {

@@ -28,17 +28,6 @@ type Config struct {
 	// expressible, which keeps zero-gain splits (no information) out of
 	// every tree. Negative values are rejected.
 	MinGain float64
-
-	// SplitSearch selects the numeric split-search engine (the empty
-	// value resolves to SplitSearchExact). Exact produces bit-identical
-	// trees to the reference CART builder; hist trades the exact cut for
-	// pre-binned speed. See the SplitSearch constants.
-	SplitSearch SplitSearch
-	// HistBins is the number of quantile bins per numeric attribute in
-	// histogram mode. The zero value selects the default of 64; negative
-	// values, a single bin (no interior cut exists) and more than 65535
-	// bins (bin ids are 16-bit) are rejected. Ignored by the exact engine.
-	HistBins int
 }
 
 func (c Config) withDefaults() Config {
@@ -51,14 +40,11 @@ func (c Config) withDefaults() Config {
 	if c.MinGain == 0 {
 		c.MinGain = 1e-6
 	}
-	if c.HistBins == 0 {
-		c.HistBins = defaultHistBins
-	}
 	return c
 }
 
 // validate rejects configurations whose zero-value defaulting cannot
-// apply: negative limits and out-of-range histogram bin counts.
+// apply: negative limits.
 func (c Config) validate() error {
 	if c.MaxDepth < 0 {
 		return fmt.Errorf("dtree: MaxDepth %d < 0 (use 0 for the default of 12)", c.MaxDepth)
@@ -68,12 +54,6 @@ func (c Config) validate() error {
 	}
 	if c.MinGain < 0 {
 		return fmt.Errorf("dtree: MinGain %v < 0 (use 0 for the default of 1e-6)", c.MinGain)
-	}
-	if c.HistBins < 0 || c.HistBins == 1 || c.HistBins > maxHistBins {
-		return fmt.Errorf("dtree: HistBins %d outside [2,%d] (use 0 for the default of %d)", c.HistBins, maxHistBins, defaultHistBins)
-	}
-	if _, err := ParseSplitSearch(string(c.SplitSearch)); err != nil {
-		return err
 	}
 	return nil
 }
@@ -145,21 +125,20 @@ func numberLeaves(t *Tree) {
 }
 
 // Build grows a CART-style tree over d with gini-impurity splits. Numeric
-// attributes use the best threshold found by a sorted sweep (or by the
-// pre-binned histogram search, per cfg.SplitSearch); categorical attributes
-// use the best value-subset split found by ordering values by first-class
-// proportion (optimal for two classes, a standard heuristic otherwise). The
-// class attribute is never split on.
+// attributes use the best threshold found by a sorted sweep over every cut;
+// categorical attributes use the best value-subset split found by ordering
+// values by first-class proportion (optimal for two classes, a standard
+// heuristic otherwise). The class attribute is never split on.
 //
 // Build runs the presorted-attribute-list engine on the serial path; it is
-// BuildP with a parallelism of 1. In exact mode (the default) the tree is
-// bit-identical to the reference BuildNaive builder.
+// BuildP with a parallelism of 1. The tree is bit-identical to the
+// reference BuildNaive builder.
 func Build(d *dataset.Dataset, cfg Config) (*Tree, error) {
 	return BuildP(d, cfg, 1)
 }
 
 // BuildP is Build with a parallelism knob: the per-node split search
-// shards attributes across workers (0 = the process default, 1 = the exact
+// shards attributes across workers (0 = the process default, 1 = the
 // serial path, n >= 2 = n workers) and merges the per-attribute winners in
 // fixed attribute order, so the tree is bit-identical for every setting.
 // It ranks d and grows the tree with a Builder over every row of d, drawn
@@ -177,8 +156,7 @@ func BuildP(d *dataset.Dataset, cfg Config, parallelism int) (*Tree, error) {
 
 // BuildNaive is the reference CART builder the fast engine is proven
 // against: it re-sorts every numeric attribute at every node and searches
-// attributes serially. It ignores cfg.SplitSearch (it is the exact search
-// by construction). Build in exact mode produces bit-identical trees — the
+// attributes serially. Build produces bit-identical trees — the
 // differential tests pin the equivalence — so BuildNaive exists only as
 // the independent baseline of that harness and of the
 // BenchmarkDTreeBuildNaive/BenchmarkDTreeBuildFast pair.
@@ -259,9 +237,9 @@ func numericCut(lo, hi float64) float64 {
 type split struct {
 	attr      int
 	threshold float64 // numeric
-	// pos locates the cut: the number of list entries left of it (exact
-	// numeric), the last bin left of it (hist numeric), or the number of
-	// values in sweep order left of it (categorical).
+	// pos locates the cut: the number of list entries left of it
+	// (numeric) or the number of values in sweep order left of it
+	// (categorical).
 	pos int
 	// values holds a categorical split's present values in sweep order.
 	values []int

@@ -1,7 +1,6 @@
 package dtree
 
 import (
-	"fmt"
 	"slices"
 
 	"focus/internal/parallel"
@@ -9,61 +8,13 @@ import (
 
 // This file is the induction engine behind BuildP and Builder.Build: the
 // per-node split search over the weighted units of attrlist.go — numeric
-// attributes swept over their packed presorted lists (exact mode, the
-// default — bit-identical to BuildNaive) or over the root-binned
-// histograms of histogram.go (hist mode), categorical ones through
-// weighted AVC-sets — with the attributes searched on parallel workers and
-// the winners merged in fixed attribute order so the tree is independent
-// of the worker count. A split is realized from the unit columns alone:
-// an exact numeric split by position in its winning list, a hist one by
-// bin, a categorical one by code; no float value is read to partition.
-
-// SplitSearch selects the numeric split-search engine of Build.
-type SplitSearch string
-
-const (
-	// SplitSearchDefault resolves to SplitSearchExact.
-	SplitSearchDefault SplitSearch = ""
-	// SplitSearchExact sweeps every cut between distinct consecutive
-	// values of the presorted attribute lists — the same candidate set as
-	// the reference CART builder, producing bit-identical trees.
-	SplitSearchExact SplitSearch = "exact"
-	// SplitSearchHist searches quantile-bin boundaries computed once at
-	// the root: per node, one pass builds a bin-by-class histogram and the
-	// sweep runs over bins instead of tuples. Cuts are restricted to bin
-	// edges (HistBins per attribute), trading exactness of the chosen cut
-	// for per-node O(rows + bins) search.
-	SplitSearchHist SplitSearch = "hist"
-	// SplitSearchAuto picks per build: hist for large datasets (at least
-	// autoHistMinRows rows), exact otherwise.
-	SplitSearchAuto SplitSearch = "auto"
-)
-
-// ParseSplitSearch validates a split-search name ("exact", "hist" or
-// "auto"; "" means exact).
-func ParseSplitSearch(name string) (SplitSearch, error) {
-	switch s := SplitSearch(name); s {
-	case SplitSearchDefault, SplitSearchExact, SplitSearchHist, SplitSearchAuto:
-		return s, nil
-	default:
-		return SplitSearchDefault, fmt.Errorf("dtree: unknown split search %q (want exact, hist or auto)", name)
-	}
-}
-
-// MustSplitSearch panics on a SplitSearch value outside the known
-// vocabulary — the guard for knobs set directly in Config literals rather
-// than through ParseSplitSearch. Failing at the call site beats silently
-// running an engine the caller did not choose.
-func MustSplitSearch(s SplitSearch) {
-	if _, err := ParseSplitSearch(string(s)); err != nil {
-		panic(err.Error())
-	}
-}
-
-// autoHistMinRows is the dataset size at which SplitSearchAuto switches
-// from the exact sweep to the histogram search: below it the exact engine
-// is already cheap and keeps the bit-identical guarantee for free.
-const autoHistMinRows = 65536
+// attributes swept over every cut of their packed presorted lists
+// (bit-identical to BuildNaive), categorical ones through weighted
+// AVC-sets — with the attributes searched on parallel workers and the
+// winners merged in fixed attribute order so the tree is independent of
+// the worker count. A split is realized from the unit columns alone: a
+// numeric split by position in its winning list, a categorical one by
+// code; no float value is read to partition.
 
 // parallelSplitMinRows gates the parallel attribute search: nodes with
 // fewer rows search serially, since goroutine fan-out costs more than the
@@ -71,21 +22,6 @@ const autoHistMinRows = 65536
 // searches produce the identical winner by construction (per-attribute
 // results merged in attribute order).
 const parallelSplitMinRows = 2048
-
-// resolveSplitSearch maps the knob to a concrete engine for an n-row build.
-func resolveSplitSearch(s SplitSearch, n int) SplitSearch {
-	switch s {
-	case SplitSearchHist:
-		return SplitSearchHist
-	case SplitSearchAuto:
-		if n >= autoHistMinRows {
-			return SplitSearchHist
-		}
-		return SplitSearchExact
-	default:
-		return SplitSearchExact
-	}
-}
 
 // grow builds the subtree over the unit segment [lo, hi). The stopping
 // rules, split selection and realized-MinLeaf guard mirror the reference
@@ -158,14 +94,10 @@ func (b *Builder) bestSplit(lo, hi, n int, counts []int) split {
 
 // search finds attribute a's best split of the node.
 func (b *Builder) search(a, lo, hi, n int, parent float64, counts []int) split {
-	switch {
-	case b.codes[a] != nil:
+	if b.codes[a] != nil {
 		return b.bestCategoricalSplit(a, lo, hi, n, parent, counts)
-	case b.mode == SplitSearchHist:
-		return b.bestNumericSplitHist(a, lo, hi, n, parent, counts)
-	default:
-		return b.bestNumericSplitList(a, lo, hi, n, parent, counts)
 	}
+	return b.bestNumericSplitList(a, lo, hi, n, parent, counts)
 }
 
 // bestNumericSplitList sweeps the node's presorted attribute-list segment:
@@ -227,17 +159,15 @@ func (b *Builder) bestCategoricalSplit(a, lo, hi, n int, parent float64, counts 
 }
 
 // partition realizes the split on the segment [lo, hi) from the unit
-// columns: an exact numeric split sends the first s.pos entries of its
-// list left — the cut the sweep counted, which numericCut's threshold
-// routes identically — a hist split the units binned at or below s.pos,
-// a categorical split the units whose code is in lv. The row list and, in
-// exact mode, every other numeric list are then stable-partitioned, which
-// keeps each child's list segments sorted. It returns the realized left
-// weight and unit count.
+// columns: a numeric split sends the first s.pos entries of its list left
+// — the cut the sweep counted, which numericCut's threshold routes
+// identically — a categorical split the units whose code is in lv. The
+// row list and every other numeric list are then stable-partitioned,
+// which keeps each child's list segments sorted. It returns the realized
+// left weight and unit count.
 func (b *Builder) partition(lo, hi int, s split, lv []bool) (nl, ul int) {
 	rows := b.rows[lo:hi]
-	switch {
-	case lv != nil:
+	if lv != nil {
 		codes := b.codes[s.attr]
 		for _, u := range rows {
 			left := lv[codes[u]]
@@ -247,17 +177,7 @@ func (b *Builder) partition(lo, hi int, s split, lv []bool) (nl, ul int) {
 				ul++
 			}
 		}
-	case b.mode == SplitSearchHist:
-		bins := b.bins[s.attr]
-		for _, u := range rows {
-			left := int(bins[u]) <= s.pos
-			b.side[u] = left
-			if left {
-				nl += int(b.weight[u])
-				ul++
-			}
-		}
-	default:
+	} else {
 		for i, e := range b.lists[s.attr][lo:hi] {
 			u := uint32(e)
 			left := i < s.pos
@@ -269,37 +189,24 @@ func (b *Builder) partition(lo, hi int, s split, lv []bool) (nl, ul int) {
 		ul = s.pos
 	}
 	stablePartition(rows, b.side, b.scratch32, ul)
-	if b.mode == SplitSearchExact {
-		for _, a := range b.numeric {
-			if a != s.attr {
-				stablePartition(b.lists[a][lo:hi], b.side, b.scratch64, ul)
-			}
+	for _, a := range b.numeric {
+		if a != s.attr {
+			stablePartition(b.lists[a][lo:hi], b.side, b.scratch64, ul)
 		}
 	}
 	return nl, ul
 }
 
-// rootAttrs builds every numeric attribute's root list (exact mode) or
-// root bins (hist mode), one attribute per parallel worker.
+// rootAttrs builds every numeric attribute's root list, one attribute per
+// parallel worker.
 func (b *Builder) rootAttrs() {
-	hist := b.mode == SplitSearchHist
 	if parallel.Workers(b.par) == 1 {
 		for _, a := range b.numeric {
-			if hist {
-				b.binRoot(a)
-			} else {
-				b.listRoot(a)
-			}
+			b.listRoot(a)
 		}
 		return
 	}
-	forEachAttr(b.numeric, b.par, func(a int) {
-		if hist {
-			b.binRoot(a)
-		} else {
-			b.listRoot(a)
-		}
-	})
+	forEachAttr(b.numeric, b.par, b.listRoot)
 }
 
 // forEachAttr runs body once per listed attribute, fanning out over

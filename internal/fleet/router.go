@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -173,7 +174,12 @@ func (rt *Router) Migrate(name string, from *Member) error {
 
 // AddMember joins a new node to the ring and migrates onto it exactly the
 // sessions the ring now places there. It returns how many sessions moved;
-// migration errors are joined but do not abort the remaining moves.
+// migration errors are joined but do not abort the remaining moves. If a
+// migration onto the joiner fails, the join is rolled back: the refused
+// session resumed on its old host, where the ring no longer routes it, so
+// the joiner leaves the ring again and whatever it already received moves
+// back to the restored owners. A rolled-back join reports 0 moved and
+// returns the migration errors joined with any error of the rollback.
 func (rt *Router) AddMember(addr string) (int, error) {
 	rt.adminMu.Lock()
 	defer rt.adminMu.Unlock()
@@ -189,7 +195,14 @@ func (rt *Router) AddMember(addr string) (int, error) {
 	rt.ring.Add(m.Addr())
 	rt.members[m.Addr()] = m
 	rt.mu.Unlock()
-	return rt.rebalanceLocked()
+	moved, refused, err := rt.rebalanceLocked(m.Addr())
+	if !refused {
+		return moved, err
+	}
+	if _, rerr := rt.leaveLocked(m); rerr != nil {
+		err = errors.Join(err, fmt.Errorf("rolling back the join of %s: %w", m.Addr(), rerr))
+	}
+	return 0, err
 }
 
 // RemoveMember gracefully retires a node: it leaves the ring first (so new
@@ -212,8 +225,17 @@ func (rt *Router) RemoveMember(addr string) (int, error) {
 		return 0, &routeError{code: http.StatusConflict, msg: "cannot remove the last member"}
 	}
 	leaver := rt.members[m.Addr()]
-	rt.ring.Remove(m.Addr())
-	delete(rt.members, m.Addr())
+	rt.mu.Unlock()
+	return rt.leaveLocked(leaver)
+}
+
+// leaveLocked takes a member off the ring, then migrates every session it
+// hosts to the session's new owner; callers hold adminMu. It returns how
+// many sessions moved.
+func (rt *Router) leaveLocked(leaver *Member) (int, error) {
+	rt.mu.Lock()
+	rt.ring.Remove(leaver.Addr())
+	delete(rt.members, leaver.Addr())
 	rt.mu.Unlock()
 
 	names, err := leaver.SessionNames()
@@ -234,9 +256,9 @@ func (rt *Router) RemoveMember(addr string) (int, error) {
 
 // rebalanceLocked migrates every session not hosted on its ring owner;
 // callers hold adminMu. Unreachable members are skipped (their sessions
-// cannot be drained until they return).
-func (rt *Router) rebalanceLocked() (int, error) {
-	moved := 0
+// cannot be drained until they return). refused reports whether a
+// migration onto the member at onto failed.
+func (rt *Router) rebalanceLocked(onto string) (moved int, refused bool, err error) {
 	var errs []error
 	for _, m := range rt.Members() {
 		names, err := m.SessionNames()
@@ -255,12 +277,13 @@ func (rt *Router) rebalanceLocked() (int, error) {
 			}
 			if err := rt.Migrate(name, m); err != nil {
 				errs = append(errs, err)
+				refused = refused || owner.Addr() == onto
 				continue
 			}
 			moved++
 		}
 	}
-	return moved, joinErrors(errs)
+	return moved, refused, joinErrors(errs)
 }
 
 // joinErrors collapses a migration error list into one error, or nil.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"focus/internal/fleet"
@@ -121,7 +122,17 @@ func createThrough(t *testing.T, f *testFleet, n int) []string {
 	t.Helper()
 	var names []string
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("sess-%02d", i)
+		names = append(names, fmt.Sprintf("sess-%02d", i))
+	}
+	createNamed(t, f, names)
+	return names
+}
+
+// createNamed creates the named sessions through the router and feeds
+// each two batches, as createThrough does.
+func createNamed(t *testing.T, f *testFleet, names []string) {
+	t.Helper()
+	for i, name := range names {
 		status, _, body := request(t, f.ts.URL, http.MethodPost, "/v1/sessions", clusterSession(name))
 		if status != http.StatusCreated {
 			t.Fatalf("create %s: status %d: %s", name, status, body)
@@ -132,9 +143,7 @@ func createThrough(t *testing.T, f *testFleet, n int) []string {
 				t.Fatalf("feed %s: status %d: %s", name, status, body)
 			}
 		}
-		names = append(names, name)
 	}
-	return names
 }
 
 // reportBodies captures the raw reports body of every session via the
@@ -342,6 +351,73 @@ func TestRouterAddMemberMigrates(t *testing.T) {
 	status, _, body = request(t, f.ts.URL, http.MethodPost, "/v1/sessions/"+hosted[0]+"/batches", feedBody(3, 1))
 	if status != http.StatusOK {
 		t.Fatalf("feed after join: status %d: %s", status, body)
+	}
+}
+
+// TestRouterAddMemberRollsBackRefusedJoin joins a member that refuses
+// session imports (400 on /import), every one or all after the first.
+// Each refused session resumes on its old host, so the join is rolled
+// back: AddMember returns the migration errors, the joiner is off the ring
+// and hosts nothing, and every session answers through the router with
+// its reports byte-identical to before the join.
+func TestRouterAddMemberRollsBackRefusedJoin(t *testing.T) {
+	for _, accept := range []int32{0, 1} {
+		t.Run(fmt.Sprintf("accept=%d", accept), func(t *testing.T) {
+			f := newTestFleet(t, 2)
+			member := serve.NewRegistry().Handler()
+			var imports atomic.Int32
+			joiner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				if strings.HasSuffix(req.URL.Path, "/import") && imports.Add(1) > accept {
+					http.Error(w, `{"error": "image refused"}`, http.StatusBadRequest)
+					return
+				}
+				member.ServeHTTP(w, req)
+			}))
+			t.Cleanup(joiner.Close)
+			joinerAddr := strings.TrimPrefix(joiner.URL, "http://")
+
+			// The joiner's port is random, so pick the 8 names for the
+			// ring after the join: 4 it takes over and 4 it leaves.
+			ring := fleet.NewRing(0)
+			for _, addr := range append(f.addrs, joinerAddr) {
+				ring.Add(addr)
+			}
+			var names []string
+			taken := 0
+			for i := 0; len(names) < 8; i++ {
+				name := fmt.Sprintf("sess-%02d", i)
+				if ring.Owner(name) != joinerAddr && len(names)-taken < 4 {
+					names = append(names, name)
+				} else if ring.Owner(name) == joinerAddr && taken < 4 {
+					names = append(names, name)
+					taken++
+				}
+			}
+			createNamed(t, f, names)
+			before := reportBodies(t, f, names)
+
+			moved, err := f.router.AddMember(joinerAddr)
+			if err == nil {
+				t.Fatalf("join with refused imports succeeded, %d moved", moved)
+			}
+			if moved != 0 {
+				t.Errorf("rolled-back join reports %d sessions moved", moved)
+			}
+			for _, m := range f.router.Members() {
+				if m.Addr() == joinerAddr {
+					t.Fatalf("joiner still on the ring after a refused import: %v", err)
+				}
+			}
+			if left := sessionNames(t, joiner); len(left) != 0 {
+				t.Fatalf("rolled-back joiner still hosts %v", left)
+			}
+			after := reportBodies(t, f, names)
+			for _, name := range names {
+				if before[name] != after[name] {
+					t.Fatalf("session %s reports changed across the rolled-back join:\n before: %s\n after:  %s", name, before[name], after[name])
+				}
+			}
+		})
 	}
 }
 

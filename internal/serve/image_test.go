@@ -215,3 +215,192 @@ func TestImageRefused(t *testing.T) {
 		t.Errorf("newer image: %v", err)
 	}
 }
+
+// imageFingerprint renders a session's state and report ring as the
+// external tests' sessionFingerprint does.
+func imageFingerprint(t *testing.T, s *Session) string {
+	t.Helper()
+	st, err := s.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, alerts, err := s.Reports()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(map[string]any{"state": st, "reports": reports, "alerts": alerts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
+// TestRetiredSplitSearchImage restores and imports testdata/v2-hist,
+// written before the hist split search was retired: a dt session created
+// with "split_search": "hist" and "hist_bins": 16 and fed imageBatch 1-3,
+// as a session directory (compacted after the second feed, its WAL
+// holding the third) and as the session's exported image. Its pinned tree
+// is the hist tree, which the exact search does not grow. A snapshot pins
+// its tree, so both must bind that tree byte for byte and render the
+// fingerprints the writing code rendered, before and after imageBatch(4);
+// the restored session also across the compaction that feed triggers.
+func TestRetiredSplitSearchImage(t *testing.T) {
+	fixture := filepath.Join("testdata", "v2-hist")
+	raw, err := os.ReadFile(filepath.Join(fixture, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for key, fp := range doc["dh"] {
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, fp); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = buf.String()
+	}
+	var tree []byte
+	if err := json.Unmarshal(doc["dh"]["tree"], &tree); err != nil {
+		t.Fatal(err)
+	}
+	exact, err := NewRegistry().Create(imageSession(t, "dh", "dt", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(exact.pinned().tree, tree) {
+		t.Fatal("the exact tree equals the fixture's; the test cannot tell decode from regrowth")
+	}
+	check := func(s *Session, key string) {
+		t.Helper()
+		if !bytes.Equal(s.pinned().tree, tree) {
+			t.Fatalf("%s: the pinned tree is not the fixture's", key)
+		}
+		if got := imageFingerprint(t, s); got != want[key] {
+			t.Fatalf("%s fingerprint\n got: %s\nwant: %s", key, got, want[key])
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.CopyFS(filepath.Join(dir, "sessions"), os.DirFS(filepath.Join(fixture, "sessions"))); err != nil {
+		t.Fatal(err)
+	}
+	for reopen := range 2 {
+		r, warns, err := OpenRegistry(dir, 2)
+		if err != nil || len(warns) > 0 {
+			t.Fatalf("open: %v %v", err, warns)
+		}
+		s, ok := r.Get("dh")
+		if !ok {
+			t.Fatal("the hist session did not restore")
+		}
+		if reopen == 0 {
+			check(s, "restored")
+			if _, err := s.Feed(nil, imageBatch(4)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "sessions", "dh", "wal.000003.log")); err != nil {
+				t.Fatalf("the feed did not compact: %v", err)
+			}
+		}
+		check(s, "fed")
+		r.Close()
+	}
+
+	img, err := os.ReadFile(filepath.Join(fixture, "export.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewRegistry()
+	ts := httptest.NewServer(dst.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/sessions/dh/import", "application/octet-stream", bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("import answered %d", resp.StatusCode)
+	}
+	s, _ := dst.Get("dh")
+	check(s, "imported")
+	if _, err := s.Feed(nil, imageBatch(4)); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "imported_fed")
+}
+
+// TestRetiredSplitSearchRefused pins that whatever would grow a tree for a
+// config naming a retired split search is refused with the retired value
+// in the message, never given the exact tree: a create answers 400, a
+// version-1 JSON import (testdata/export-v1/dt.json relabeled) 400, and a
+// v1 snapshot.json directory (testdata/v1's dt session relabeled) is left
+// unrestored with a warning.
+func TestRetiredSplitSearchRefused(t *testing.T) {
+	ts := httptest.NewServer(NewRegistry().Handler())
+	defer ts.Close()
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var msg struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, msg.Error
+	}
+	export, err := os.ReadFile(filepath.Join("testdata", "export-v1", "dt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1", "sessions", "dt", snapshotV1File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, search := range []string{"hist", "auto"} {
+		cfg := imageSession(t, "c-"+search, "dt", 2)
+		cfg.SplitSearch = search
+		body, err := json.Marshal(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := fmt.Sprintf("%q", search)
+		if code, msg := post("/v1/sessions", body); code != http.StatusBadRequest || !strings.Contains(msg, named) {
+			t.Errorf("create naming %s: %d %s", search, code, msg)
+		}
+
+		relabel := func(doc []byte) []byte {
+			return bytes.Replace(doc, []byte(`"model":"dt"`), []byte(`"model":"dt","split_search":`+named), 1)
+		}
+		if code, msg := post("/v1/sessions/dt/import", relabel(export)); code != http.StatusBadRequest || !strings.Contains(msg, named) {
+			t.Errorf("version-1 import naming %s: %d %s", search, code, msg)
+		}
+
+		dir := t.TempDir()
+		sdir := filepath.Join(dir, "sessions", "dt")
+		if err := os.CopyFS(sdir, os.DirFS(filepath.Join("testdata", "v1", "sessions", "dt"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(sdir, snapshotV1File), relabel(v1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, warns, err := OpenRegistry(dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(warns) != 1 || !strings.Contains(warns[0].Error(), named) {
+			t.Errorf("v1 snapshot naming %s: restore warnings %v", search, warns)
+		}
+		if _, ok := r.Get("dt"); ok {
+			t.Errorf("v1 snapshot naming %s restored", search)
+		}
+		r.Close()
+	}
+}

@@ -535,25 +535,23 @@ func bindDT(s *Session, cfg *SessionConfig, pin *pinnedSections) error {
 	if !hasRef {
 		return badRequest("dt session requires reference rows (the pinned tree is grown from them)")
 	}
-	search, err := dtree.ParseSplitSearch(cfg.SplitSearch)
-	if err != nil {
-		return badRequest(err.Error())
-	}
 	var tree *dtree.Tree
 	if pin != nil {
 		// The tree grown at create, as the snapshot holds it: a restart
 		// never regrows it, so the pinned structure survives any change of
-		// the tree engine.
+		// the tree engine, and the config's split_search is not read.
 		if tree, err = dtree.DecodeBinary(schema, pin.tree); err != nil {
 			return fmt.Errorf("pinned tree: %w", err)
 		}
-	} else if tree, err = dtree.BuildP(ref, dtree.Config{
-		MaxDepth:    cfg.MaxDepth,
-		MinLeaf:     cfg.MinLeaf,
-		SplitSearch: search,
-		HistBins:    cfg.HistBins,
-	}, cfg.Parallelism); err != nil {
-		return badRequest(fmt.Sprintf("growing pinned tree: %v", err))
+	} else {
+		// Growing the exact tree for a config that named another split
+		// search would silently change the session's model.
+		if cfg.SplitSearch != "" && cfg.SplitSearch != "exact" {
+			return badRequest(fmt.Sprintf("split_search %q is retired: pinned trees are grown by the exact split search only", cfg.SplitSearch))
+		}
+		if tree, err = dtree.BuildP(ref, dtree.Config{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}, cfg.Parallelism); err != nil {
+			return badRequest(fmt.Sprintf("growing pinned tree: %v", err))
+		}
 	}
 	return bindSession(s, core.PinnedDT(tree), ref, true, tree, mcfg, codec)
 }

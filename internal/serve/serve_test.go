@@ -176,10 +176,19 @@ func TestCreateSessionValidation(t *testing.T) {
 		{"dt missing class", `{"name": "m", "model": "dt", "reference": [{"x": 1}],
 			"schema": {"attrs": [{"name": "x", "kind": "numeric", "min": 0, "max": 1}]}}`, 400},
 		{"dt missing reference", strings.Replace(dtSession("m"), `"reference"`, `"_reference"`, 1), 400},
+		// The hist and auto split searches are retired: a create naming
+		// either, or sending hist_bins, is refused rather than given the
+		// exact tree.
 		{"dt split search hist", strings.Replace(dtSession("ok-dt-hist"), `"min_leaf": 20,`,
-			`"min_leaf": 20, "split_search": "hist", "hist_bins": 16,`, 1), 201},
+			`"min_leaf": 20, "split_search": "hist", "hist_bins": 16,`, 1), 400},
 		{"dt split search auto", strings.Replace(dtSession("ok-dt-auto"), `"min_leaf": 20,`,
-			`"min_leaf": 20, "split_search": "auto",`, 1), 201},
+			`"min_leaf": 20, "split_search": "auto",`, 1), 400},
+		{"dt split search hist without bins", strings.Replace(dtSession("m"), `"min_leaf": 20,`,
+			`"min_leaf": 20, "split_search": "hist",`, 1), 400},
+		{"dt hist bins", strings.Replace(dtSession("m"), `"min_leaf": 20,`,
+			`"min_leaf": 20, "hist_bins": 16,`, 1), 400},
+		{"dt split search exact", strings.Replace(dtSession("ok-dt-exact"), `"min_leaf": 20,`,
+			`"min_leaf": 20, "split_search": "exact",`, 1), 201},
 		{"dt bad split search", strings.Replace(dtSession("m"), `"min_leaf": 20,`,
 			`"min_leaf": 20, "split_search": "btree",`, 1), 400},
 		{"dt bad hist bins", strings.Replace(dtSession("m"), `"min_leaf": 20,`,

@@ -99,13 +99,12 @@ type SessionConfig struct {
 	// Dt sessions: tree growth limits of the pinned tree (0 = defaults).
 	MaxDepth int `json:"max_depth,omitempty"`
 	MinLeaf  int `json:"min_leaf,omitempty"`
-	// SplitSearch selects the numeric split-search engine growing the
-	// pinned tree ("exact", "hist" or "auto"; empty = exact). The pinned
-	// tree is grown once at session creation, so the knob only affects that
-	// build. HistBins sets the quantile bin count of the hist engine
-	// (0 = default).
+	// SplitSearch is read only to refuse configs written for the retired
+	// "hist" and "auto" split searches: a pinned tree is grown by the exact
+	// search, so a config that grows one ("" or "exact" here) is refused
+	// rather than given a different tree. A snapshot pins its tree, so
+	// restoring it ignores the field.
 	SplitSearch string `json:"split_search,omitempty"`
-	HistBins    int    `json:"hist_bins,omitempty"`
 
 	// Cluster sessions: grid attributes by name, bins per attribute and the
 	// minimum cell density.
