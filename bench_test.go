@@ -163,7 +163,7 @@ func ablationTxnData(b *testing.B, n int) (*txn.Dataset, *txn.Dataset) {
 // Trie-based subset counting vs the brute-force scan (Apriori measure
 // computation; the single-scan GCR extension of Section 3.3.1 rides on it).
 // Forced to the trie backend so the ablation keeps measuring the trie now
-// that the default counter dispatches by density.
+// that the default runs the vertical engine.
 func BenchmarkAblationCountingTrie(b *testing.B) {
 	b.ReportAllocs()
 	d, _ := ablationTxnData(b, 5000)

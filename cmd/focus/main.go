@@ -28,7 +28,6 @@ import (
 	"os"
 	"strings"
 
-	"focus/internal/apriori"
 	"focus/internal/classgen"
 	"focus/internal/cluster"
 	"focus/internal/core"
@@ -54,19 +53,17 @@ func main() {
 
 // config holds the parsed flags of one invocation.
 type config struct {
-	model       string
-	minsup      float64
-	fName       string
-	gName       string
-	qualify     bool
-	replicates  int
-	seed        int64
-	maxDepth    int
-	minLeaf     int
-	showBound   bool
-	par         int
-	counterName string
-	counter     apriori.Counter
+	model      string
+	minsup     float64
+	fName      string
+	gName      string
+	qualify    bool
+	replicates int
+	seed       int64
+	maxDepth   int
+	minLeaf    int
+	showBound  bool
+	par        int
 
 	attrs      string
 	bins       int
@@ -99,7 +96,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.minLeaf, "minleaf", 25, "decision tree minimum leaf size")
 	fs.BoolVar(&cfg.showBound, "bound", false, "also print the delta* upper bound (lits only)")
 	fs.IntVar(&cfg.par, "parallelism", 0, "worker count for scans and bootstrap (0 = GOMAXPROCS, 1 = serial)")
-	fs.StringVar(&cfg.counterName, "counter", "auto", "lits counting backend: auto, trie or bitmap (bit-identical output)")
 	fs.StringVar(&cfg.attrs, "attrs", "salary,age", "cluster grid attributes (comma-separated numeric attribute names)")
 	fs.IntVar(&cfg.bins, "bins", 8, "cluster grid bins per attribute")
 	fs.Float64Var(&cfg.minDensity, "mindensity", 0.02, "cluster minimum cell density")
@@ -124,10 +120,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	cfg.g, err = core.AggByName(cfg.gName)
-	if err != nil {
-		return err
-	}
-	cfg.counter, err = apriori.ParseCounter(cfg.counterName)
 	if err != nil {
 		return err
 	}
@@ -174,7 +166,7 @@ func runLits(cfg *config, path1, path2 string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mc := core.LitsWithCounter(cfg.minsup, cfg.counter)
+	mc := core.Lits(cfg.minsup)
 	m1, err := mc.Induce(d1, 0)
 	if err != nil {
 		return err
@@ -337,7 +329,7 @@ func runLitsFollow(cfg *config, refPath, streamPath string, w io.Writer) error {
 	if sd.NumItems != ref.NumItems {
 		return fmt.Errorf("stream universe %d != reference universe %d", sd.NumItems, ref.NumItems)
 	}
-	mon, err := stream.New(core.LitsWithCounter(cfg.minsup, cfg.counter), ref, monitorOptions(cfg))
+	mon, err := stream.New(core.Lits(cfg.minsup), ref, monitorOptions(cfg))
 	if err != nil {
 		return err
 	}

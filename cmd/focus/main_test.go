@@ -174,13 +174,6 @@ func TestGolden(t *testing.T) {
 		{"lits-follow-prev", []string{
 			"-model", "lits", "-follow", "-prev", "-minsup", "0.02", "-batch", "250", "-window", "1", "-parallelism", "1",
 			refTxns, streamTxns}},
-		// The lits golden args forced onto the bitmap backend: the counting
-		// backend must never change a byte of output (see
-		// TestCounterGoldenIdentical, which pins this golden to lits.golden).
-		{"counter-bitmap", []string{
-			"-model", "lits", "-minsup", "0.02", "-bound", "-counter", "bitmap",
-			"-qualify", "-replicates", "19", "-seed", "1", "-parallelism", "1",
-			refTxns, streamTxns}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -228,64 +221,6 @@ func TestGoldenParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestCounterGoldenIdentical proves the counting-backend equivalence at
-// the CLI level: the counter-bitmap golden must be byte-identical to the
-// lits golden (same args, different backend), and every -counter value must
-// reproduce it — in batch and follow mode.
-func TestCounterGoldenIdentical(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "lits.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitmap, err := os.ReadFile(filepath.Join("testdata", "golden", "counter-bitmap.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, bitmap) {
-		t.Errorf("counter-bitmap.golden differs from lits.golden:\n--- bitmap ---\n%s--- lits ---\n%s", bitmap, want)
-	}
-	refTxns, streamTxns, _, _ := inputs(t)
-	for _, counter := range []string{"auto", "trie", "bitmap"} {
-		var buf bytes.Buffer
-		args := []string{
-			"-model", "lits", "-minsup", "0.02", "-bound", "-counter", counter,
-			"-qualify", "-replicates", "19", "-seed", "1", "-parallelism", "1",
-			refTxns, streamTxns}
-		if err := run(args, &buf); err != nil {
-			t.Fatalf("-counter %s: %v", counter, err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("-counter %s output differs from lits.golden", counter)
-		}
-		buf.Reset()
-		follow := []string{
-			"-model", "lits", "-follow", "-minsup", "0.02", "-counter", counter,
-			"-batch", "200", "-window", "2", "-parallelism", "1",
-			refTxns, streamTxns}
-		if err := run(follow, &buf); err != nil {
-			t.Fatalf("-counter %s follow: %v", counter, err)
-		}
-		checkGolden(t, "lits-follow", buf.Bytes())
-	}
-}
-
-// TestCounterFlagErrors pins the usage error for invalid -counter values.
-func TestCounterFlagErrors(t *testing.T) {
-	refTxns, _, _, _ := inputs(t)
-	for _, bad := range []string{"zz", "btree", "Bitmap", "vertical", "0"} {
-		t.Run(bad, func(t *testing.T) {
-			var buf bytes.Buffer
-			err := run([]string{"-model", "lits", "-counter", bad, refTxns, refTxns}, &buf)
-			if err == nil {
-				t.Fatalf("-counter %q did not error", bad)
-			}
-			if !strings.Contains(err.Error(), "unknown counter") {
-				t.Errorf("error %q does not mention the unknown counter", err)
-			}
-		})
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	refTxns, _, refCSV, streamCSV := inputs(t)
 	cases := []struct {
@@ -300,7 +235,9 @@ func TestRunErrors(t *testing.T) {
 		{"bad-attr", []string{"-model", "cluster", "-attrs", "nope", refCSV, streamCSV}, "unknown attribute"},
 		{"missing-file", []string{"-model", "lits", refTxns, filepath.Join(t.TempDir(), "absent.txns")}, "absent"},
 		{"bad-batch", []string{"-model", "lits", "-follow", "-batch", "0", refTxns, refTxns}, "batch size"},
-		{"bad-counter", []string{"-model", "lits", "-counter", "zz", refTxns, refTxns}, "unknown counter"},
+		// The counting backend is no longer selectable: -counter is an
+		// undefined flag whatever its value.
+		{"bad-counter", []string{"-model", "lits", "-counter", "zz", refTxns, refTxns}, "flag provided but not defined: -counter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -72,13 +72,18 @@
 // -parallelism flag), 1 forces the exact serial path, n >= 2 uses n
 // workers.
 //
-// Lits-model support counting additionally has two interchangeable
-// backends: the prefix-trie subset scan and a vertical TID-bitmap index
-// (per-item transaction bitsets intersected with popcount-fused ANDs,
-// memoized per dataset). Counts are bit-identical either way; the class
-// constructor LitsWithCounter (the CLIs' -counter flag, the focusd session
-// field "counter") selects a backend, with "auto" — the default — choosing
-// per scan by dataset density and candidate volume.
+// Lits-model support operations — mining, GCR measurement, bootstrap
+// replicates and monitor windows — run on a vertical engine: per-item
+// transaction bitsets (memoized per dataset) intersected with
+// popcount-fused ANDs, mined depth-first. The engine makes one decision
+// with no option to set: it runs wherever its index fits in memory, and
+// the prefix-trie scan with levelwise Apriori runs only where it would
+// not. The index holds NumItems × (24 B + 8·Words(|D|) B) — a set header
+// and at most one |D|-bit bitset per item of the universe — which must
+// stay under a 256 MiB cap, and the universe must hold at most 4 item ids
+// per item occurrence of the data, so a few rows over a wide universe stay
+// on the trie. The counts, and so every model and report, are
+// bit-identical either way.
 //
 // The monitoring regime runs continuously through NewMonitor: batches enter
 // a sliding or tumbling window whose model is maintained incrementally from
@@ -115,34 +120,12 @@ import (
 	"focus/internal/txn"
 )
 
-// SetParallelism fixes the worker count selected by a Parallelism knob of 0
-// anywhere in the pipeline (options structs, knob-less convenience
-// functions). Passing n <= 0 restores the built-in default, GOMAXPROCS.
+// SetParallelism fixes the worker count selected by a parallelism of 0
+// anywhere in the pipeline (WithParallelism(0), a zero Config.Parallelism,
+// knob-less convenience functions). Passing n <= 0 restores the built-in default, GOMAXPROCS.
 // Deviations are bit-identical for every setting; the knob trades wall-clock
 // speed against CPU use.
 func SetParallelism(n int) { parallel.SetDefault(n) }
-
-// Counter selects the itemset-support counting backend of lits-model scans:
-// the prefix-trie subset scan over transactions, or the vertical TID-bitmap
-// index intersecting per-item transaction bitsets with popcount-fused ANDs.
-// Counts — and therefore models, deviations, significances and monitor
-// reports — are bit-identical for every backend; the knob trades index
-// construction against scan speed.
-type Counter = apriori.Counter
-
-const (
-	// CounterAuto picks trie or bitmap per scan from the dataset density
-	// and the candidate itemset volume (the built-in default).
-	CounterAuto Counter = apriori.CounterAuto
-	// CounterTrie forces the prefix-trie subset scan.
-	CounterTrie Counter = apriori.CounterTrie
-	// CounterBitmap forces the vertical TID-bitmap backend.
-	CounterBitmap Counter = apriori.CounterBitmap
-)
-
-// ParseCounter validates a counting-backend name ("auto", "trie" or
-// "bitmap"; "" means auto).
-func ParseCounter(name string) (Counter, error) { return apriori.ParseCounter(name) }
 
 // Difference and aggregate functions (Definition 3.7).
 type (
@@ -251,20 +234,8 @@ type (
 )
 
 // Lits returns the lits-model class: frequent itemsets mined by Apriori at
-// the given minimum support (Section 2.2), counting through the auto
-// backend.
+// the given minimum support (Section 2.2).
 func Lits(minSupport float64) ModelClass[*TxnDataset, *LitsModel] { return core.Lits(minSupport) }
-
-// LitsWithCounter is Lits with an explicit vertical-engine backend, one
-// decision for every support operation the class performs — mining
-// (levelwise trie passes vs the intersection-driven vertical DFS), GCR
-// measurement, bootstrap replicates (materialized resamples vs exploded
-// view pairs that draw rows of one packed pool), and streaming monitor
-// windows (per-batch counts and incremental window mining). Models and
-// reports are bit-identical for every Counter.
-func LitsWithCounter(minSupport float64, c Counter) ModelClass[*TxnDataset, *LitsModel] {
-	return core.LitsWithCounter(minSupport, c)
-}
 
 // DT returns the dt-model class: decision trees grown with cfg, compared
 // over the overlay of their leaf partitions (Section 2.1, Definition 4.2).

@@ -190,12 +190,12 @@ type Source interface {
 	Count(sets []Itemset) []int
 }
 
-// NewSource adapts a *txn.Dataset to a Source with explicit parallelism
-// and counting-backend knobs, by returning the vertical execution Engine
-// over it — the seam through which Mine/MineFrom, the generic lits model
-// class and the streaming window summaries select the trie or bitmap
-// backend. Both backends return bit-identical counts, so the mined
-// frequent sets are independent of the knobs.
+// NewSource adapts a *txn.Dataset to a Source with an explicit
+// parallelism and backend-forcing seam, by returning the vertical
+// execution Engine over it — the seam through which Mine/MineFrom and the
+// streaming window summaries reach the trie or bitmap backend. Both
+// backends return bit-identical counts, so the mined frequent sets are
+// independent of the seam.
 func NewSource(d *txn.Dataset, parallelism int, counter Counter) Source {
 	return NewEngine(d, parallelism, counter)
 }
@@ -248,10 +248,10 @@ func MineP(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, e
 	return NewEngine(d, parallelism, CounterDefault).Mine(minSupport)
 }
 
-// MineWith is MineP with an explicit backend knob, which selects the
+// MineWith is MineP with the backend-forcing seam, which selects the
 // mining strategy along with the counting backend (trie → levelwise
-// Apriori, bitmap → vertical Eclat, auto → per-dataset decision); the
-// mined frequent sets are bit-identical for every Counter.
+// Apriori, bitmap → vertical Eclat, auto → useVertical); the mined
+// frequent sets are bit-identical for every Counter.
 func MineWith(d *txn.Dataset, minSupport float64, parallelism int, counter Counter) (*FrequentSet, error) {
 	return NewEngine(d, parallelism, counter).Mine(minSupport)
 }

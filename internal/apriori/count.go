@@ -79,27 +79,26 @@ func CountItemsets(d *txn.Dataset, sets []Itemset) []int {
 	return CountItemsetsP(d, sets, 1)
 }
 
-// CountItemsetsP is CountItemsets with a parallelism knob; CounterAuto
-// picks the backend per call. Counts are bit-identical for every backend
-// and worker count.
+// CountItemsetsP is CountItemsets with a parallelism knob; the backend
+// follows the engine's one decision (useVertical). Counts are
+// bit-identical for every backend and worker count.
 func CountItemsetsP(d *txn.Dataset, sets []Itemset, parallelism int) []int {
 	return CountItemsetsC(d, sets, parallelism, CounterDefault)
 }
 
-// CountItemsetsC is the counting entry point with both knobs explicit: a
+// CountItemsetsC is CountItemsetsP with the backend-forcing seam: a
 // parallelism (0 = the process default, 1 = the exact serial path, n = n
-// workers) and a Counter backend. The trie backend walks every transaction
+// workers) and a Counter. The trie backend walks every transaction
 // through a candidate prefix trie; the bitmap backend intersects per-item
 // transaction bitsets from the dataset's memoized vertical index;
-// CounterAuto picks per call by density × candidate volume. Both backends
-// produce bit-identical integer counts (pinned by the differential harness
-// in count_diff_test.go), so the knob trades construction and scan costs
-// only.
+// CounterAuto runs the bitmap wherever its index fits in memory. Both
+// backends produce bit-identical integer counts (pinned by the
+// differential harness in count_diff_test.go).
 func CountItemsetsC(d *txn.Dataset, sets []Itemset, parallelism int, counter Counter) []int {
 	if len(sets) == 0 || d.Len() == 0 {
 		return make([]int, len(sets))
 	}
-	if resolveCounter(counter, d, len(sets)) == CounterBitmap {
+	if useVertical(counter, d) {
 		return CountItemsetsBitmap(d, sets, parallelism)
 	}
 	return CountItemsetsTrie(d, sets, parallelism)
@@ -155,15 +154,7 @@ func CountItemsetsTrie(d *txn.Dataset, sets []Itemset, parallelism int) []int {
 // pass-1 summary of a windowed monitor: vectors from disjoint batches add
 // (and subtract) into the counts a single scan of their union would produce.
 func ItemCountsP(d *txn.Dataset, parallelism int) []int {
-	return ItemCountsWith(d, parallelism, CounterDefault)
-}
-
-// ItemCountsWith is ItemCountsP with an explicit counting backend: the
-// bitmap backend serves the counts from the memoized vertical index
-// (priming it for the candidate counting that follows), any other backend
-// scans horizontally.
-func ItemCountsWith(d *txn.Dataset, parallelism int, counter Counter) []int {
-	return NewSource(d, parallelism, counter).ItemCounts()
+	return NewSource(d, parallelism, CounterDefault).ItemCounts()
 }
 
 // CountItemsetsBrute is the quadratic reference implementation of

@@ -10,6 +10,7 @@ package apriori
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"focus/internal/txn"
@@ -190,25 +191,103 @@ func TestParseCounter(t *testing.T) {
 			t.Fatalf("ParseCounter(%q) accepted an invalid backend", name)
 		}
 	}
-	// "" is the unset knob and means auto at every decision point.
+	// "" is the unset seam and means auto at the engine's decision.
 	unset, _ := ParseCounter("")
 	memo := randomCountDataset(400, 30, 3)
 	VerticalIndexOf(memo, 1)
 	for _, d := range []*txn.Dataset{randomCountDataset(60, 40, 1), randomCountDataset(400, 30, 2), memo} {
-		for _, n := range []int{1, 8, 500} {
-			if got, want := resolveCounter(unset, d, n), resolveCounter(CounterAuto, d, n); got != want {
-				t.Errorf("resolveCounter(%q, n=%d) = %q, auto gives %q", unset, n, got, want)
-			}
-			if got, want := resolveMiner(unset, d, n), resolveMiner(CounterAuto, d, n); got != want {
-				t.Errorf("resolveMiner(%q, n=%d) = %q, auto gives %q", unset, n, got, want)
-			}
+		if got, want := useVertical(unset, d), useVertical(CounterAuto, d); got != want {
+			t.Errorf("useVertical(%q) = %v, auto gives %v", unset, got, want)
 		}
-		if UseViewBootstrap(unset, d) != UseViewBootstrap(CounterAuto, d) {
-			t.Errorf("UseViewBootstrap(%q) differs from auto", unset)
+	}
+}
+
+// TestUseVerticalMemoryCap pins the engine's one decision: the default
+// runs vertically wherever the index fits in memory (tiny datasets and
+// candidate lists included) or is already memoized, and the
+// trie/levelwise path only where the index would not fit — past the
+// memory cap, or over a universe far wider than the data's item
+// occurrences; a forced backend always wins.
+func TestUseVerticalMemoryCap(t *testing.T) {
+	tiny := randomCountDataset(20, 40, 4)
+	// 60,000 rows over 40,000 items: a 301 MB index, past the 256 MB cap,
+	// while the rows only name 30 items, so memoizing it below stays small.
+	wide := &txn.Dataset{NumItems: 40000}
+	rows := randomCountDataset(600, 30, 5).Txns
+	for range 100 {
+		wide.Txns = append(wide.Txns, rows...)
+	}
+	if !useVertical(CounterAuto, tiny) {
+		t.Error("auto kept a tiny dataset off the vertical engine")
+	}
+	if useVertical(CounterAuto, wide) {
+		t.Error("auto took the vertical engine past the memory cap")
+	}
+	// 640 rows naming 1,200 items each over 3,000,000 items: enough item
+	// occurrences for the universe, and 10-word bitsets would need 240 MB,
+	// under the cap, but the per-item set headers need 72 MB more.
+	long := make(txn.Transaction, 1200)
+	for i := range long {
+		long[i] = txn.Item(i * 2000)
+	}
+	headers := &txn.Dataset{NumItems: 3_000_000}
+	for range 640 {
+		headers.Txns = append(headers.Txns, long)
+	}
+	if useVertical(CounterAuto, headers) {
+		t.Error("auto left the index's per-item headers out of the memory cap")
+	}
+	if useVertical(CounterTrie, tiny) || !useVertical(CounterBitmap, wide) {
+		t.Error("a forced backend lost to the memory cap")
+	}
+	VerticalIndexOf(wide, 1)
+	if !useVertical(CounterAuto, wide) {
+		t.Error("auto skipped an index already memoized past the cap")
+	}
+}
+
+// TestUseVerticalWideUniverse pins the data-relative half of the decision
+// and that pass 1 follows it: 64 rows over 1,000,000 items would fit under
+// the cap (32 MB, almost all per-item headers and counts), but the index
+// would be sized by the universe, not the data, so counting, pass 1 and
+// mining stay on the trie and memoize nothing. The same rows over a
+// universe within occurrenceSlack ids per item occurrence run vertically,
+// and there pass 1 builds the index the candidate passes reuse. Pass-1
+// counts equal the horizontal scan's either way.
+func TestUseVerticalWideUniverse(t *testing.T) {
+	rows := randomCountDataset(64, 1000, 6).Txns
+	occ := 0
+	for _, r := range rows {
+		occ += len(r)
+	}
+	wide := &txn.Dataset{NumItems: 1_000_000, Txns: rows}
+	if useVertical(CounterAuto, wide) {
+		t.Fatal("auto took the vertical engine for 64 rows over a 1,000,000-item universe")
+	}
+	sets := []Itemset{{1, 2}, {3}}
+	if got, want := CountItemsetsP(wide, sets, 1), CountItemsetsTrie(wide, sets, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CountItemsetsP = %v, want %v", got, want)
+	}
+	if _, err := MineP(wide, 0.05, 1); err != nil {
+		t.Fatal(err)
+	}
+	narrow := &txn.Dataset{NumItems: occurrenceSlack * occ, Txns: rows}
+	if !useVertical(CounterAuto, narrow) {
+		t.Error("auto kept a universe within occurrenceSlack ids per occurrence off the vertical engine")
+	}
+	if useVertical(CounterAuto, &txn.Dataset{NumItems: occurrenceSlack*occ + 1, Txns: rows}) {
+		t.Error("auto took the vertical engine past occurrenceSlack ids per occurrence")
+	}
+	for _, d := range []*txn.Dataset{wide, narrow} {
+		if got, want := ItemCountsP(d, 2), horizontalItemCounts(d, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ItemCountsP over %d items differs from the horizontal scan", d.NumItems)
 		}
-		if UseWindowMiner(unset, d.NumItems) != UseWindowMiner(CounterAuto, d.NumItems) {
-			t.Errorf("UseWindowMiner(%q) differs from auto", unset)
-		}
+	}
+	if wide.HasMemo() {
+		t.Error("counting, pass 1 or mining memoized a universe-sized index")
+	}
+	if !narrow.HasMemo() {
+		t.Error("pass 1 scanned horizontally where the engine runs vertically")
 	}
 }
 

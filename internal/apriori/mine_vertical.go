@@ -299,8 +299,8 @@ func minCountFor(minSupport float64, n int) int {
 	return minCount
 }
 
-// MineVertical mines d through the vertical engine regardless of the auto
-// decision — bit-identical to Mine/MineWith on any backend.
+// MineVertical mines d through the vertical engine regardless of the
+// engine's memory cap — bit-identical to Mine/MineWith on any backend.
 func MineVertical(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, error) {
 	return NewEngine(d, parallelism, CounterBitmap).Mine(minSupport)
 }

@@ -13,17 +13,22 @@ import (
 // mapped once to the bitset of transactions containing it, and the support
 // of an itemset is the popcount of the AND of its items' bitsets. The two
 // backends are exact alternatives — bit-identical integer counts — so the
-// Counter knob is purely a performance choice; the differential harness in
-// count_diff_test.go pins the equivalence down.
+// engine picks between them by memory alone (useVertical); the
+// differential harness in count_diff_test.go pins the equivalence down.
 
-// Counter selects the itemset-support counting backend.
+// Counter is the package's backend-forcing seam. No user selects it: the
+// lits engine always runs the default, which is one decision (useVertical).
+// The differential harnesses (count_diff_test.go, mine_diff_test.go, the
+// fuzzers, and the trie-forced reference class of internal/core's tests)
+// force each side through it, and perfbench compiles against
+// CounterDefault, MineWith and CountItemsetsC.
 type Counter string
 
 const (
-	// CounterDefault is the unset knob; it means CounterAuto.
+	// CounterDefault is the unset seam; it means CounterAuto.
 	CounterDefault Counter = ""
-	// CounterAuto picks trie or bitmap per call from the dataset density
-	// and the candidate itemset volume.
+	// CounterAuto runs the vertical engine wherever it fits in memory
+	// (useVertical).
 	CounterAuto Counter = "auto"
 	// CounterTrie forces the prefix-trie subset scan over transactions.
 	CounterTrie Counter = "trie"
@@ -43,9 +48,9 @@ func ParseCounter(name string) (Counter, error) {
 }
 
 // MustCounter panics on a Counter value outside the known vocabulary —
-// the guard for knobs set directly (class constructors, engine and count
-// entry points) rather than through ParseCounter. Failing at the call site
-// beats silently running a backend the caller did not choose.
+// the guard for the seam set directly (engine and count entry points)
+// rather than through ParseCounter. Failing at the call site beats
+// silently running a backend the caller did not choose.
 func MustCounter(c Counter) {
 	if _, err := ParseCounter(string(c)); err != nil {
 		panic(err.Error())
@@ -53,41 +58,50 @@ func MustCounter(c Counter) {
 }
 
 // autoIndexBytes caps the estimated vertical-index footprint (bytes) up to
-// which CounterAuto will pick the bitmap backend; an explicit CounterBitmap
-// is never capped.
+// which the default engine runs vertically; an explicit CounterBitmap is
+// never capped.
 const autoIndexBytes = 1 << 28
 
-// resolveCounter turns any Counter knob into a concrete backend for
-// counting nsets candidate itemsets against d.
-func resolveCounter(c Counter, d *txn.Dataset, nsets int) Counter {
+// occurrenceSlack ties the universe-sized part of the index to the data it
+// indexes: the default engine runs vertically only while the universe
+// holds at most occurrenceSlack item ids per item occurrence of the data
+// (NumItems <= occurrenceSlack·Σ|t|).
+const occurrenceSlack = 4
+
+// useVertical is the lits engine's one decision, shared by counting, pass
+// 1 and mining: a forced backend wins; otherwise the vertical engine runs
+// wherever d's index is memoized (nothing left to build) or would fit in
+// memory, and the trie/levelwise path runs only where it would not. The
+// index holds a bitset.Set header (24 bytes) and a pass-1 count (8 bytes)
+// for every item of the universe, and at most a Words(|D|)-word bitset for
+// each; the universe can hold up to 2^31 item ids, so its footprint is not
+// bounded by the data size. It fits when both
+//   - NumItems × (24 + 8·Words(|D|)) bytes is at most autoIndexBytes, and
+//   - NumItems <= occurrenceSlack·Σ|t|, so the 32 bytes per universe item
+//     stay within 128 bytes per item occurrence: a few rows over a wide
+//     universe, which would pay almost only headers, stay on the trie,
+//     whose footprint is the rows and the pass-1 vector every path holds.
+func useVertical(c Counter, d *txn.Dataset) bool {
 	MustCounter(c)
-	if c == CounterTrie || c == CounterBitmap {
-		return c
+	switch c {
+	case CounterTrie:
+		return false
+	case CounterBitmap:
+		return true
 	}
-	// An already-memoized index makes bitmap counting nearly free — no
-	// build to pay, no O(|D|) density probe worth running.
 	if d.HasMemo() {
-		return CounterBitmap
+		return true
 	}
-	// The trie pays one subset-descent per transaction per scan; the bitmap
-	// pays word-parallel intersections per itemset plus an (amortized,
-	// memoized) index build. Bitmap wins once the dataset is wide enough for
-	// whole words and the work volume — candidate count times item density —
-	// outweighs the per-itemset setup (the density probe walks the
-	// transaction headers once, a cost on the order of the trie scan it is
-	// deciding against); tiny candidate lists or near-empty transactions
-	// stay on the trie.
-	if d.Len() < 128 || nsets < 8 {
-		return CounterTrie
+	if int64(d.NumItems)*(24+int64(bitset.Words(d.Len()))*8) > autoIndexBytes {
+		return false
 	}
-	if d.NumItems > 0 && int64(d.NumItems)*int64(bitset.Words(d.Len()))*8 > autoIndexBytes {
-		return CounterTrie
+	occ := 0
+	for _, t := range d.Txns {
+		if occ += occurrenceSlack * len(t); occ >= d.NumItems {
+			return true
+		}
 	}
-	density := d.AvgLen() / float64(d.NumItems)
-	if density*float64(nsets) < 0.5 {
-		return CounterTrie
-	}
-	return CounterBitmap
+	return false
 }
 
 // VerticalIndex is the vertical form of a transaction dataset: for each

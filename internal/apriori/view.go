@@ -262,22 +262,12 @@ func (v *View) countOne(s Itemset) int {
 }
 
 // UseViewBootstrap reports whether lits bootstrap replicates over the pool
-// d should run as exploded view pairs through the vertical engine: yes
-// unless the knob forces the trie, the pool is tiny, or a worker's pair
-// would blow the auto memory cap. A pair holds, per view, one Words(n)-word
-// bitmap for each item frequent in either view: at most the universe's
-// NumItems items over Words(n1)+Words(n2) <= Words(d.Len())+1 words, as a
-// replicate's two views draw as many rows as the pool holds.
-func UseViewBootstrap(c Counter, d *txn.Dataset) bool {
-	MustCounter(c)
-	switch c {
-	case CounterTrie:
-		return false
-	case CounterBitmap:
-		return true
-	}
-	if d.Len() < 128 {
-		return false
-	}
+// d run as exploded view pairs through the vertical engine: yes unless a
+// worker's pair would blow the engine's memory cap. A pair holds, per
+// view, one Words(n)-word bitmap for each item frequent in either view: at
+// most the universe's NumItems items over Words(n1)+Words(n2) <=
+// Words(d.Len())+1 words, as a replicate's two views draw as many rows as
+// the pool holds.
+func UseViewBootstrap(d *txn.Dataset) bool {
 	return int64(d.NumItems)*int64(bitset.Words(d.Len())+1)*8 <= autoIndexBytes
 }

@@ -37,13 +37,8 @@ const windowPairBytes = 1 << 26
 
 // UseWindowMiner reports whether a streaming lits window over a universe
 // of numItems items should mine through an incremental WindowMiner: yes
-// unless the knob forces the trie everywhere or the pair table would be
-// outsized.
-func UseWindowMiner(c Counter, numItems int) bool {
-	MustCounter(c)
-	if c == CounterTrie {
-		return false
-	}
+// unless the pair table would be outsized.
+func UseWindowMiner(numItems int) bool {
 	return numItems > 0 && int64(numItems)*int64(numItems)*2 <= windowPairBytes
 }
 

@@ -67,16 +67,10 @@ func TestWindowMinerMatchesBatchConcat(t *testing.T) {
 }
 
 func TestUseWindowMiner(t *testing.T) {
-	if UseWindowMiner(CounterTrie, 100) {
-		t.Fatal("trie backend took the window miner")
+	if !UseWindowMiner(100) {
+		t.Fatal("skipped the window miner on a small universe")
 	}
-	if !UseWindowMiner(CounterAuto, 100) {
-		t.Fatal("auto skipped the window miner on a small universe")
-	}
-	if !UseWindowMiner(CounterBitmap, 100) {
-		t.Fatal("bitmap skipped the window miner on a small universe")
-	}
-	if UseWindowMiner(CounterAuto, 1<<16) {
-		t.Fatal("auto accepted an outsized pair table")
+	if UseWindowMiner(1 << 16) {
+		t.Fatal("accepted an outsized pair table")
 	}
 }

@@ -13,24 +13,16 @@ import (
 // mergeable streaming summary is the per-batch itemset support count.
 type litsClass struct {
 	minSupport float64
-	counter    apriori.Counter
 }
 
 // Lits returns the lits-model class instance mining frequent itemsets at
-// the given minimum support, with the auto counting backend.
+// the given minimum support. Every scan the class performs — mining, GCR
+// measurement, bootstrap replicates, and the per-batch counts of streaming
+// windows — runs the vertical engine wherever it fits in memory and the
+// trie/levelwise path only where it does not; models, deviations and
+// reports are bit-identical either way.
 func Lits(minSupport float64) ModelClass[*txn.Dataset, *LitsModel] {
-	return LitsWithCounter(minSupport, apriori.CounterAuto)
-}
-
-// LitsWithCounter is Lits with an explicit itemset-counting backend, used
-// for every scan the class performs — mining, GCR measurement, bootstrap
-// replicates, and the per-batch counts of streaming windows. Models,
-// deviations and reports are bit-identical for every Counter. Unknown
-// backends panic here, at the construction site, rather than at the first
-// scan.
-func LitsWithCounter(minSupport float64, counter apriori.Counter) ModelClass[*txn.Dataset, *LitsModel] {
-	apriori.MustCounter(counter)
-	return litsClass{minSupport: minSupport, counter: counter}
+	return litsClass{minSupport: minSupport}
 }
 
 func (litsClass) Name() string { return "lits" }
@@ -44,7 +36,7 @@ func (litsClass) Resample(d *txn.Dataset, n int, rng *rand.Rand) *txn.Dataset {
 }
 
 func (c litsClass) Induce(d *txn.Dataset, parallelism int) (*LitsModel, error) {
-	return MineLitsWith(d, c.minSupport, parallelism, c.counter)
+	return MineLitsP(d, c.minSupport, parallelism)
 }
 
 func (c litsClass) MeasureGCR(m1, m2 *LitsModel, d1, d2 *txn.Dataset, cfg *Config) ([]MeasuredRegion, error) {
@@ -53,8 +45,8 @@ func (c litsClass) MeasureGCR(m1, m2 *LitsModel, d1, d2 *txn.Dataset, cfg *Confi
 	}
 	gcr := newLitsGCR(m1.FS, m2.FS)
 	gcr.focus(cfg.FocusItemsets)
-	c1 := apriori.CountItemsetsC(d1, gcr.sets, cfg.Parallelism, c.counter)
-	c2 := apriori.CountItemsetsC(d2, gcr.sets, cfg.Parallelism, c.counter)
+	c1 := apriori.CountItemsetsP(d1, gcr.sets, cfg.Parallelism)
+	c2 := apriori.CountItemsetsP(d2, gcr.sets, cfg.Parallelism)
 	return countRegions(c1, c2), nil
 }
 
@@ -68,7 +60,7 @@ func countRegions(c1, c2 []int) []MeasuredRegion {
 }
 
 // newReplicate implements the bootstrapper fast path: when the vertical
-// engine is worth it for the pool, the pool is packed once and each
+// engine fits in memory for the pool, the pool is packed once and each
 // bootstrap worker owns one exploded view pair over it, whose replicates
 // draw pool rows instead of materializing resampled datasets and mine
 // them through the vertical DFS. Mining already counted every GCR itemset
@@ -78,7 +70,7 @@ func countRegions(c1, c2 []int) []MeasuredRegion {
 // the generic Resample/Induce/MeasureGCR path — pinned by
 // TestQualifyViewBootstrapEquivalence.
 func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (func() replicateFunc, bool) {
-	if !apriori.UseViewBootstrap(c.counter, pool) {
+	if !apriori.UseViewBootstrap(pool) {
 		return nil, false
 	}
 	packed := apriori.NewPool(pool)
@@ -133,7 +125,6 @@ func (c litsClass) NewWindow(parallelism int) (Window[*txn.Dataset, *LitsModel],
 	}
 	return &litsWindow{
 		minSupport:  c.minSupport,
-		counter:     c.counter,
 		parallelism: parallelism,
 		intern:      newInternTable(),
 	}, nil
@@ -219,7 +210,6 @@ func (b *litsBatch) grow(n int) {
 // the window's clone family.
 type litsWindow struct {
 	minSupport  float64
-	counter     apriori.Counter
 	numItems    int
 	parallelism int
 	intern      *internTable
@@ -250,7 +240,7 @@ func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
 	} else if d.NumItems != w.numItems {
 		return fmt.Errorf("core: batch universe %d != window universe %d", d.NumItems, w.numItems)
 	}
-	b := &litsBatch{data: d, items: apriori.ItemCountsWith(d, parallelism, w.counter)}
+	b := &litsBatch{data: d, items: apriori.ItemCountsP(d, parallelism)}
 	// Delta-merge: count the warm itemsets in the new batch alone and fold
 	// them into the aggregate, preserving the invariant that a warm itemset
 	// is cached in every live batch (RemoveFront subtracts from the cache).
@@ -264,7 +254,7 @@ func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
 	}
 	if len(warm) > 0 {
 		b.grow(len(w.intern.sets))
-		counts := apriori.CountItemsetsC(d, warm, parallelism, w.counter)
+		counts := apriori.CountItemsetsP(d, warm, parallelism)
 		for j, c := range counts {
 			b.counts[warmIDs[j]] = c
 			w.agg[warmIDs[j]] += c
@@ -319,7 +309,6 @@ func (w *litsWindow) Data() *txn.Dataset {
 func (w *litsWindow) Clone() Window[*txn.Dataset, *LitsModel] {
 	return &litsWindow{
 		minSupport:  w.minSupport,
-		counter:     w.counter,
 		numItems:    w.numItems,
 		parallelism: w.parallelism,
 		intern:      w.intern,
@@ -334,11 +323,12 @@ func (w *litsWindow) Clone() Window[*txn.Dataset, *LitsModel] {
 // Induce mines the window. Windows that actually mine — the live window,
 // every emission — build an incremental apriori.WindowMiner on first use
 // and keep it in sync through Add/RemoveFront; clones start without one
-// (snapshot references are counted against, not re-mined), and the trie
-// backend (or an outsized universe) falls back to levelwise mining through
-// the window's count source. Both paths produce bit-identical models.
+// (snapshot references are counted against, not re-mined), and a universe
+// whose pair table would be outsized falls back to levelwise mining
+// through the window's count source. Both paths produce bit-identical
+// models.
 func (w *litsWindow) Induce() (*LitsModel, error) {
-	if w.wmine == nil && len(w.batchList) > 0 && apriori.UseWindowMiner(w.counter, w.numItems) {
+	if w.wmine == nil && len(w.batchList) > 0 && apriori.UseWindowMiner(w.numItems) {
 		wm := apriori.NewWindowMiner(w.numItems)
 		for _, b := range w.batchList {
 			wm.Push(b.data, w.parallelism)
@@ -402,9 +392,9 @@ func (w *litsWindow) Count(sets []apriori.Itemset) []int {
 			}
 		}
 		if len(missing) > 0 {
-			// The batch datasets are sealed, so a bitmap backend's memoized
-			// per-batch vertical index persists across window advances.
-			counts := apriori.CountItemsetsC(b.data, missing, w.parallelism, w.counter)
+			// The batch datasets are sealed, so a memoized per-batch
+			// vertical index persists across window advances.
+			counts := apriori.CountItemsetsP(b.data, missing, w.parallelism)
 			for j, c := range counts {
 				i := missingIdx[j]
 				b.counts[ids[i]] = c

@@ -28,14 +28,7 @@ func MineLits(d *txn.Dataset, minSupport float64) (*LitsModel, error) {
 // sharded across workers with a deterministic shard-order merge, so the
 // model is bit-identical to the serial miner for every worker count.
 func MineLitsP(d *txn.Dataset, minSupport float64, parallelism int) (*LitsModel, error) {
-	return MineLitsWith(d, minSupport, parallelism, apriori.CounterDefault)
-}
-
-// MineLitsWith is MineLitsP with an explicit itemset-counting backend
-// (trie subset scan or vertical TID-bitmap); the model is bit-identical for
-// every Counter.
-func MineLitsWith(d *txn.Dataset, minSupport float64, parallelism int, counter apriori.Counter) (*LitsModel, error) {
-	fs, err := apriori.MineWith(d, minSupport, parallelism, counter)
+	fs, err := apriori.MineP(d, minSupport, parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -8,12 +8,12 @@ import (
 	"focus/internal/txn"
 )
 
-// The view bootstrap must be invisible: Qualify through the trie backend
-// (which keeps the generic materialized-resample path) and through the
-// bitmap/auto backends (which mine exploded view pairs over the packed
-// pool) must produce bit-identical deviations, significances, and null
-// distributions, at every parallelism. Run under -race this also shakes
-// out sharing bugs between concurrent view workers.
+// The view bootstrap must be invisible: Qualify through the trie reference
+// (which keeps the generic materialized-resample path) and through Lits
+// (which mines exploded view pairs over the packed pool) must produce
+// bit-identical deviations, significances, and null distributions, at
+// every parallelism. Run under -race this also shakes out sharing bugs
+// between concurrent view workers.
 
 func qualifyViewData(t *testing.T) (*txn.Dataset, *txn.Dataset) {
 	t.Helper()
@@ -25,6 +25,12 @@ func qualifyViewData(t *testing.T) (*txn.Dataset, *txn.Dataset) {
 
 func TestQualifyViewBootstrapEquivalence(t *testing.T) {
 	d1, d2 := qualifyViewData(t)
+	if _, ok := any(Lits(0.05)).(bootstrapper[*txn.Dataset]); !ok {
+		t.Fatal("litsClass lost its bootstrapper fast path")
+	}
+	if _, ok := any(newTrieLits(0.05)).(bootstrapper[*txn.Dataset]); ok {
+		t.Fatal("the trie reference exposes the fast path")
+	}
 	for _, tc := range []struct {
 		name string
 		opts []Option
@@ -35,26 +41,23 @@ func TestQualifyViewBootstrapEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := append([]Option{WithReplicates(11), WithSeed(7), WithParallelism(1)}, tc.opts...)
-			want, err := Qualify(LitsWithCounter(0.05, apriori.CounterTrie), d1, d2, AbsoluteDiff, Sum, base...)
+			want, err := Qualify[*txn.Dataset, *LitsModel](newTrieLits(0.05), d1, d2, AbsoluteDiff, Sum, base...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, counter := range []apriori.Counter{apriori.CounterBitmap, apriori.CounterAuto} {
-				for _, p := range []int{1, 4} {
-					opts := append([]Option{WithReplicates(11), WithSeed(7), WithParallelism(p)}, tc.opts...)
-					got, err := Qualify(LitsWithCounter(0.05, counter), d1, d2, AbsoluteDiff, Sum, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Deviation != want.Deviation || got.Significance != want.Significance {
-						t.Fatalf("%s/par%d: (dev, sig) = (%v, %v), trie (%v, %v)",
-							counter, p, got.Deviation, got.Significance, want.Deviation, want.Significance)
-					}
-					for i := range want.Null {
-						if got.Null[i] != want.Null[i] {
-							t.Fatalf("%s/par%d: null[%d] = %v, trie %v",
-								counter, p, i, got.Null[i], want.Null[i])
-						}
+			for _, p := range []int{1, 4} {
+				opts := append([]Option{WithReplicates(11), WithSeed(7), WithParallelism(p)}, tc.opts...)
+				got, err := Qualify(Lits(0.05), d1, d2, AbsoluteDiff, Sum, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Deviation != want.Deviation || got.Significance != want.Significance {
+					t.Fatalf("par%d: (dev, sig) = (%v, %v), trie (%v, %v)",
+						p, got.Deviation, got.Significance, want.Deviation, want.Significance)
+				}
+				for i := range want.Null {
+					if got.Null[i] != want.Null[i] {
+						t.Fatalf("par%d: null[%d] = %v, trie %v", p, i, got.Null[i], want.Null[i])
 					}
 				}
 			}
@@ -68,7 +71,7 @@ func TestQualifyViewWorkerOwnedPairs(t *testing.T) {
 	d1, d2 := qualifyViewData(t)
 	var want []float64
 	for _, p := range []int{1, 2, 4} {
-		got, err := Qualify(LitsWithCounter(0.05, apriori.CounterBitmap), d1, d2, AbsoluteDiff, Sum,
+		got, err := Qualify(Lits(0.05), d1, d2, AbsoluteDiff, Sum,
 			WithReplicates(13), WithSeed(8), WithParallelism(p), WithExtension())
 		if err != nil {
 			t.Fatal(err)
@@ -85,32 +88,17 @@ func TestQualifyViewWorkerOwnedPairs(t *testing.T) {
 	}
 }
 
-// TestUseViewBootstrapGate pins the knob semantics: trie never takes the
-// view path, bitmap always does, and auto declines a tiny pool (an index
-// memoized on it changes nothing: views do not use it) and a universe
-// whose per-worker view pair would exceed the memory cap.
+// TestUseViewBootstrapGate pins the view bootstrap's one rule, the memory
+// cap: a pool takes the view path unless a worker's view pair over its
+// universe would exceed it.
 func TestUseViewBootstrapGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	big := skewedTxnDataset(rng, 600, 20, 5)
-	tiny := skewedTxnDataset(rng, 20, 20, 5)
-	apriori.VerticalIndexOf(tiny, 1)
 	wide := &txn.Dataset{NumItems: 1 << 23, Txns: big.Txns}
-	if apriori.UseViewBootstrap(apriori.CounterTrie, big) {
-		t.Fatal("trie backend took the view bootstrap")
+	if !apriori.UseViewBootstrap(big) {
+		t.Fatal("skipped the view bootstrap on a pool that fits")
 	}
-	if !apriori.UseViewBootstrap(apriori.CounterBitmap, tiny) {
-		t.Fatal("bitmap backend skipped the view bootstrap")
-	}
-	if !apriori.UseViewBootstrap(apriori.CounterAuto, big) {
-		t.Fatal("auto skipped the view bootstrap on an index-worthy pool")
-	}
-	if apriori.UseViewBootstrap(apriori.CounterAuto, tiny) {
-		t.Fatal("auto took the view bootstrap on a tiny pool")
-	}
-	if apriori.UseViewBootstrap(apriori.CounterAuto, wide) {
-		t.Fatal("auto took the view bootstrap over a universe whose view pair exceeds the cap")
-	}
-	if !apriori.UseViewBootstrap(apriori.CounterBitmap, wide) {
-		t.Fatal("bitmap backend skipped the view bootstrap over a wide universe")
+	if apriori.UseViewBootstrap(wide) {
+		t.Fatal("took the view bootstrap over a universe whose view pair exceeds the cap")
 	}
 }

@@ -61,6 +61,8 @@ func durableKinds() []durableKind {
 			batches: clusterBatches,
 		},
 		{
+			// Names the retired "counter" field, as the v1 fixtures of this
+			// kind do: it must still restore and import.
 			name:    "lits-bitmap-window2",
 			cfg:     litsSessionCounter("lb", "bitmap"),
 			batches: litsBatches(),

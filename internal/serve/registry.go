@@ -496,8 +496,10 @@ func bindLits(s *Session, cfg *SessionConfig, pin *pinnedSections) error {
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 		return badRequest("lits session requires min_support in (0, 1]")
 	}
-	counter, err := apriori.ParseCounter(cfg.Counter)
-	if err != nil {
+	// The counter field is retired: its valid names all gave bit-identical
+	// reports, so one is accepted and ignored, and anything else is still
+	// refused.
+	if _, err := apriori.ParseCounter(cfg.Counter); err != nil {
 		return badRequest(err.Error())
 	}
 	mcfg, err := monitorConfig(cfg)
@@ -512,7 +514,7 @@ func bindLits(s *Session, cfg *SessionConfig, pin *pinnedSections) error {
 	if err != nil {
 		return err
 	}
-	return bindSession(s, core.LitsWithCounter(cfg.MinSupport, counter), ref, hasRef, nil, mcfg, codec)
+	return bindSession(s, core.Lits(cfg.MinSupport), ref, hasRef, nil, mcfg, codec)
 }
 
 func bindDT(s *Session, cfg *SessionConfig, pin *pinnedSections) error {

@@ -56,8 +56,8 @@ func litsSession(name string) string {
 	}`, name)
 }
 
-// litsSessionCounter is litsSession with an explicit counting backend and a
-// reference wide enough that the backends do real work.
+// litsSessionCounter is litsSession with the retired "counter" field set
+// and a reference wide enough that mining does real work.
 func litsSessionCounter(name, counter string) string {
 	var rows []string
 	for i := 0; i < 300; i++ {
@@ -173,6 +173,7 @@ func TestCreateSessionValidation(t *testing.T) {
 		{"lits counter bitmap", litsSessionCounter("ok-bitmap", "bitmap"), 201},
 		{"lits counter trie", litsSessionCounter("ok-trie", "trie"), 201},
 		{"lits bad counter", litsSessionCounter("m", "btree"), 400},
+		{"lits counter zz", litsSessionCounter("m", "zz"), 400},
 		{"dt missing class", `{"name": "m", "model": "dt", "reference": [{"x": 1}],
 			"schema": {"attrs": [{"name": "x", "kind": "numeric", "min": 0, "max": 1}]}}`, 400},
 		{"dt missing reference", strings.Replace(dtSession("m"), `"reference"`, `"_reference"`, 1), 400},
@@ -389,15 +390,26 @@ func TestPreviousWindowSession(t *testing.T) {
 	}
 }
 
-// TestCounterSessionsEquivalent feeds identical batch streams to a trie
-// session and a bitmap session: every report — deviation bytes included,
-// since both decode from the same JSON rendering — must be identical.
+// TestCounterSessionsEquivalent pins the retired "counter" field: a create
+// naming any of its valid values answers 201 and then reports exactly
+// like a session created without the field — deviation bytes included,
+// since every report decodes from the same JSON rendering.
 func TestCounterSessionsEquivalent(t *testing.T) {
 	ts := newServer(t)
-	for _, counter := range []string{"trie", "bitmap"} {
-		if code, b := do(t, ts, "POST", "/v1/sessions", litsSessionCounter(counter, counter)); code != 201 {
-			t.Fatalf("create %s: %d %v", counter, code, b)
+	plain := strings.Replace(litsSessionCounter("plain", ""), `"counter": "",`, "", 1)
+	if strings.Contains(plain, "counter") {
+		t.Fatal("the baseline session still names the counter field")
+	}
+	names := []string{"plain"}
+	if code, b := do(t, ts, "POST", "/v1/sessions", plain); code != 201 {
+		t.Fatalf("create plain: %d %v", code, b)
+	}
+	for _, counter := range []string{"", "auto", "trie", "bitmap"} {
+		name := "counter-" + counter
+		if code, b := do(t, ts, "POST", "/v1/sessions", litsSessionCounter(name, counter)); code != 201 {
+			t.Fatalf("create with counter %q: %d %v", counter, code, b)
 		}
+		names = append(names, name)
 	}
 	batches := []string{}
 	for b := 0; b < 4; b++ {
@@ -408,19 +420,18 @@ func TestCounterSessionsEquivalent(t *testing.T) {
 		batches = append(batches, "["+strings.Join(rows, ",")+"]")
 	}
 	for bi, rows := range batches {
-		var reports []map[string]any
-		for _, counter := range []string{"trie", "bitmap"} {
-			code, b := do(t, ts, "POST", "/v1/sessions/"+counter+"/batches", fmt.Sprintf(`{"rows": %s}`, rows))
+		var want []byte
+		for _, name := range names {
+			code, b := do(t, ts, "POST", "/v1/sessions/"+name+"/batches", fmt.Sprintf(`{"rows": %s}`, rows))
 			if code != 200 {
-				t.Fatalf("batch %d to %s: %d %v", bi, counter, code, b)
+				t.Fatalf("batch %d to %s: %d %v", bi, name, code, b)
 			}
-			rep, _ := b["report"].(map[string]any)
-			reports = append(reports, rep)
-		}
-		trieJSON, _ := json.Marshal(reports[0])
-		bitmapJSON, _ := json.Marshal(reports[1])
-		if string(trieJSON) != string(bitmapJSON) {
-			t.Fatalf("batch %d: trie report %s != bitmap report %s", bi, trieJSON, bitmapJSON)
+			got, _ := json.Marshal(b["report"])
+			if want == nil {
+				want = got
+			} else if string(got) != string(want) {
+				t.Fatalf("batch %d: %s report %s != plain report %s", bi, name, got, want)
+			}
 		}
 	}
 }

@@ -88,9 +88,10 @@ type SessionConfig struct {
 	// Lits sessions: the item universe size and Apriori minimum support.
 	NumItems   int     `json:"num_items,omitempty"`
 	MinSupport float64 `json:"min_support,omitempty"`
-	// Counter selects the lits counting backend ("auto", "trie" or
-	// "bitmap"; empty = the process default). Reports are bit-identical
-	// for every backend.
+	// Counter is a retired wire field that once selected the lits counting
+	// backend. Reports were bit-identical for every backend, so "",
+	// "auto", "trie" and "bitmap" are accepted and ignored, and any other
+	// value is refused; it is kept so stored configs still round-trip.
 	Counter string `json:"counter,omitempty"`
 
 	// Dt and cluster sessions: the attribute space of the tuples.

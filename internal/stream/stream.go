@@ -264,6 +264,10 @@ func (m *Monitor[D, M]) ingest(epoch int64, batch D) (*Report, error) {
 func (m *Monitor[D, M]) expire() {
 	m.live.RemoveFront()
 	m.epochs = m.epochs[1:]
+	// Clear the expired slot so the batch (and anything memoized on it)
+	// is not kept reachable by the slice's backing array.
+	var zero D
+	m.batches[0] = zero
 	m.batches = m.batches[1:]
 	m.liveModelOK = false
 }

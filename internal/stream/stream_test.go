@@ -3,8 +3,10 @@ package stream
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"focus/internal/apriori"
 	"focus/internal/classgen"
@@ -236,6 +238,191 @@ func TestLitsMonitorEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hotTxnBatches draws batches whose transactions favour a hot set of ten
+// items that shifts every two batches, over ids below 64, so windows mine
+// itemsets several levels deep and drift against each other.
+func hotTxnBatches(seed int64, batches, size int) [][]txn.Transaction {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]txn.Transaction, batches)
+	for b := range out {
+		hot := b / 2 * 4
+		out[b] = make([]txn.Transaction, size)
+		for i := range out[b] {
+			t := make(txn.Transaction, 2+rng.Intn(6))
+			for j := range t {
+				if rng.Intn(5) == 0 {
+					t[j] = txn.Item(rng.Intn(64))
+				} else {
+					t[j] = txn.Item(hot + rng.Intn(10))
+				}
+			}
+			out[b][i] = t.Normalize()
+		}
+	}
+	return out
+}
+
+// TestLitsWindowPathsEquivalent runs one lits batch stream under two item
+// universes: 64 items, whose windows mine through the incremental
+// apriori.WindowMiner, and 6,000 items, whose full-universe pair table
+// the engine refuses, so windows mine levelwise through their count
+// source. No transaction names an item past 63, so both monitors must
+// report identically — deviations, region counts, alerts and
+// qualifications — under every window policy, f/g and parallelism.
+func TestLitsWindowPathsEquivalent(t *testing.T) {
+	const (
+		narrow, wide = 64, 6000
+		minSupport   = 0.05
+	)
+	if !apriori.UseWindowMiner(narrow) || apriori.UseWindowMiner(wide) {
+		t.Fatal("the two universes no longer take the window miner and the levelwise path")
+	}
+	batches := hotTxnBatches(21, 7, 60)
+	refTxns := hotTxnBatches(22, 1, 180)[0]
+	alerts, quiet := 0, 0
+	for _, pc := range policyCases() {
+		for _, fg := range fgCases() {
+			for _, par := range []int{1, 4} {
+				name := pc.name + "/" + fg.name + "/par" + string(rune('0'+par))
+				opts := pc.opts
+				opts.F, opts.G, opts.Parallelism = fg.f, fg.g, par
+				opts.Threshold = 0.25
+				// Bootstrap qualification on every emission is the
+				// expensive path; one f/g keeps the sweep quick.
+				opts.Qualify, opts.Replicates, opts.Seed = fg.name == "fa-sum", 19, 17
+				var mons []*Monitor[*txn.Dataset, *core.LitsModel]
+				for _, numItems := range []int{narrow, wide} {
+					mon, err := New(core.Lits(minSupport), &txn.Dataset{NumItems: numItems, Txns: refTxns}, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					mons = append(mons, mon)
+				}
+				emitted := 0
+				for i, b := range batches {
+					var reps []*Report
+					for j, numItems := range []int{narrow, wide} {
+						rep, err := mons[j].IngestEpoch(epochOf(i), &txn.Dataset{NumItems: numItems, Txns: b})
+						if err != nil {
+							t.Fatalf("%s: ingest %d into %d items: %v", name, i, numItems, err)
+						}
+						reps = append(reps, rep)
+					}
+					if !reflect.DeepEqual(reps[0], reps[1]) {
+						t.Fatalf("%s: ingest %d: window miner report %+v != levelwise %+v", name, i, reps[0], reps[1])
+					}
+					if reps[0] == nil {
+						continue
+					}
+					emitted++
+					if reps[0].Alert {
+						alerts++
+					} else {
+						quiet++
+					}
+				}
+				if emitted == 0 {
+					t.Errorf("%s: no reports emitted", name)
+				}
+			}
+		}
+	}
+	if alerts == 0 || quiet == 0 {
+		t.Errorf("the sweep raised %d alerts and %d quiet reports; both paths must be compared", alerts, quiet)
+	}
+}
+
+// TestLitsWideUniverseHeap pins that a lits monitor over a wide universe
+// holds memory in proportion to what every path keeps — the rows and one
+// pass-1 count vector per live batch and window — not a vertical index per
+// batch sized by the universe. 64-row batches over 1,000,000 items would
+// each fit an index under the engine's memory cap (32 B per universe item,
+// almost all set headers and counts), but the engine keeps them on the
+// trie, so no batch memoizes one and the live heap stays under a bound the
+// per-batch indexes would exceed several times over.
+func TestLitsWideUniverseHeap(t *testing.T) {
+	const (
+		numItems = 1_000_000
+		window   = 4
+		ingests  = 2 * window
+	)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := liveHeap()
+	rng := rand.New(rand.NewSource(23))
+	rows := func(n int) []txn.Transaction {
+		out := make([]txn.Transaction, n)
+		for i := range out {
+			tr := make(txn.Transaction, 2+rng.Intn(8))
+			for j := range tr {
+				tr[j] = txn.Item(rng.Intn(numItems))
+			}
+			out[i] = tr.Normalize()
+		}
+		return out
+	}
+	mon, err := New(core.Lits(0.05), &txn.Dataset{NumItems: numItems, Txns: rows(64)}, Options{WindowBatches: window, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fed []*txn.Dataset
+	var peak uint64
+	for i := range ingests {
+		d := &txn.Dataset{NumItems: numItems, Txns: rows(64)}
+		if _, err := mon.Ingest(d); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+		fed = append(fed, d)
+		if h := liveHeap(); h > base {
+			peak = max(peak, h-base)
+		}
+	}
+	for i, d := range fed {
+		if d.HasMemo() {
+			t.Errorf("batch %d memoized a vertical index over the %d-item universe", i, numItems)
+		}
+	}
+	// The window and the reference each hold one 8 MB count vector per
+	// batch plus an aggregate: about 7 vectors, or 56 MB. A memoized index
+	// per live batch adds 32 MB each.
+	const bound = 96 << 20
+	if peak > bound {
+		t.Errorf("live heap grew by %d MiB over %d ingests, want at most %d MiB", peak>>20, ingests, bound>>20)
+	}
+	t.Logf("peak live heap growth %d MiB", peak>>20)
+}
+
+// TestExpiredBatchesReleased pins that a sliding monitor lets an expired
+// batch go: after every advance, nothing of the monitor keeps the expired
+// batch (or the vertical index memoized on it) reachable.
+func TestExpiredBatchesReleased(t *testing.T) {
+	const window = 2
+	batches := hotTxnBatches(24, 12, 60)
+	mon, err := New(core.Lits(0.05), &txn.Dataset{NumItems: 64, Txns: batches[0]}, Options{WindowBatches: window, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fed []weak.Pointer[txn.Dataset]
+	for i, b := range batches[1:] {
+		d := &txn.Dataset{NumItems: 64, Txns: b}
+		fed = append(fed, weak.Make(d))
+		if _, err := mon.Ingest(d); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+		runtime.GC()
+		for j := range i + 1 - window {
+			if fed[j].Value() != nil {
+				t.Fatalf("after ingest %d, the monitor kept expired batch %d reachable", i, j)
+			}
+		}
+	}
+	runtime.KeepAlive(mon)
 }
 
 // TestDTMonitorEquivalence: same contract for dt-models over a pinned

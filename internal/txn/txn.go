@@ -142,7 +142,7 @@ func (d *Dataset) Memo(build func() any) any {
 
 // HasMemo reports whether a memoized derived structure currently exists —
 // a cheap probe for heuristics that would choose differently when the
-// structure is already paid for (see apriori's auto counter).
+// structure is already paid for (see apriori's engine decision).
 func (d *Dataset) HasMemo() bool {
 	d.memoMu.Lock()
 	defer d.memoMu.Unlock()
