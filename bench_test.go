@@ -446,8 +446,9 @@ func BenchmarkParallelAprioriMine(b *testing.B) {
 	}
 }
 
-// dtreeBenchData is the shared workload of the tree-construction pair: the
-// paper's synthetic person data at experiment scale.
+// dtreeBenchData is the paper's synthetic person data at experiment scale,
+// the workload of internal/dtree's BenchmarkDTreeBuildNaive and
+// BenchmarkDTreeBuildFast pair.
 func dtreeBenchData(b *testing.B) *dataset.Dataset {
 	b.Helper()
 	d, err := classgen.Generate(classgen.Config{NumTuples: 10000, Function: classgen.F2, Seed: 14})
@@ -455,34 +456,6 @@ func dtreeBenchData(b *testing.B) *dataset.Dataset {
 		b.Fatal(err)
 	}
 	return d
-}
-
-// CART tree construction with the reference per-node re-sorting builder —
-// the substrate cost every dt experiment used to pay. Kept as the baseline
-// of the before/after pair; compare against BenchmarkDTreeBuildFast.
-func BenchmarkDTreeBuildNaive(b *testing.B) {
-	b.ReportAllocs()
-	d := dtreeBenchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dtree.BuildNaive(d, dtree.Config{MaxDepth: 8, MinLeaf: 50}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The presorted-attribute-list engine with parallel split search on the
-// identical workload (bit-identical output tree). Compare against
-// BenchmarkDTreeBuildNaive.
-func BenchmarkDTreeBuildFast(b *testing.B) {
-	b.ReportAllocs()
-	d := dtreeBenchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dtree.BuildP(d, dtree.Config{MaxDepth: 8, MinLeaf: 50}, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // One dt bootstrap replicate tree: a warm builder grows the tree of a

@@ -34,6 +34,7 @@ import (
 	"focus/internal/dataset"
 	"focus/internal/dtree"
 	"focus/internal/parallel"
+	"focus/internal/source"
 	"focus/internal/stats"
 	"focus/internal/stream"
 	"focus/internal/txn"
@@ -126,124 +127,85 @@ func run(args []string, stdout io.Writer) error {
 
 	switch cfg.model {
 	case "lits":
-		if cfg.follow {
-			return runLitsFollow(&cfg, fs.Arg(0), fs.Arg(1), stdout)
-		}
 		return runLits(&cfg, fs.Arg(0), fs.Arg(1), stdout)
 	case "dt":
-		if cfg.follow {
-			return runDTFollow(&cfg, fs.Arg(0), fs.Arg(1), stdout)
-		}
 		return runDT(&cfg, fs.Arg(0), fs.Arg(1), stdout)
 	case "cluster":
-		if cfg.follow {
-			return runClusterFollow(&cfg, fs.Arg(0), fs.Arg(1), stdout)
-		}
 		return runCluster(&cfg, fs.Arg(0), fs.Arg(1), stdout)
 	default:
 		return fmt.Errorf("unknown model class %q (want lits, dt or cluster)", cfg.model)
 	}
 }
 
-// qualifyOptions assembles the unified bootstrap options shared by every
-// batch mode.
-func qualifyOptions(cfg *config) []core.Option {
-	return []core.Option{core.WithReplicates(cfg.replicates), core.WithSeed(cfg.seed)}
-}
-
-// dtConfig assembles the tree-growth configuration shared by the dt batch
-// and follow modes.
-func dtConfig(cfg *config) dtree.Config {
-	return dtree.Config{MaxDepth: cfg.maxDepth, MinLeaf: cfg.minLeaf}
-}
-
+// runLits loads two transaction files and runs the lits-model batch or
+// follow mode over them.
 func runLits(cfg *config, path1, path2 string, w io.Writer) error {
-	d1, err := readTxns(path1)
-	if err != nil {
-		return err
-	}
-	d2, err := readTxns(path2)
+	d1, d2, err := readPair(path1, path2, txn.Read)
 	if err != nil {
 		return err
 	}
 	mc := core.Lits(cfg.minsup)
-	m1, err := mc.Induce(d1, 0)
-	if err != nil {
-		return err
-	}
-	m2, err := mc.Induce(d2, 0)
-	if err != nil {
-		return err
-	}
-	dev, err := core.Deviation(mc, m1, m2, d1, d2, cfg.f, cfg.g)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "lits-models: |L1|=%d |L2|=%d minsup=%g\n", m1.Len(), m2.Len(), cfg.minsup)
-	fmt.Fprintf(w, "deviation delta(%s,%s) = %.6f\n", cfg.fName, cfg.gName, dev)
-	if cfg.showBound {
-		fmt.Fprintf(w, "upper bound delta*(%s) = %.6f (no dataset scan)\n", cfg.gName, core.LitsUpperBound(m1, m2, cfg.g))
-	}
-	if cfg.qualify {
-		q, err := core.Qualify(mc, d1, d2, cfg.f, cfg.g, qualifyOptions(cfg)...)
-		if err != nil {
-			return err
+	if cfg.follow {
+		if d2.NumItems != d1.NumItems {
+			return fmt.Errorf("stream universe %d != reference universe %d", d2.NumItems, d1.NumItems)
 		}
-		fmt.Fprintf(w, "significance sig(delta) = %.1f%% (bootstrap, %d replicates)\n", q.Significance, len(q.Null))
+		return runFollow(cfg, mc, d1, d2, w, "transactions", "lits")
 	}
-	return nil
+	return runPair(cfg, mc, d1, d2, w, func(m1, m2 *core.LitsModel) string {
+		return fmt.Sprintf("lits-models: |L1|=%d |L2|=%d minsup=%g", m1.Len(), m2.Len(), cfg.minsup)
+	}, func(m1, m2 *core.LitsModel) float64 {
+		return core.LitsUpperBound(m1, m2, cfg.g)
+	})
 }
 
+// runDT loads two CSV files and runs the dt-model batch mode over them, or
+// follow mode against a tree pinned on the first file.
 func runDT(cfg *config, path1, path2 string, w io.Writer) error {
-	schema := classgen.Schema()
-	d1, err := readCSV(path1, schema)
+	d1, d2, err := readCSVPair(classgen.Schema(), path1, path2)
 	if err != nil {
 		return err
 	}
-	d2, err := readCSV(path2, schema)
-	if err != nil {
-		return err
-	}
-	mc := core.DT(dtConfig(cfg))
-	m1, err := mc.Induce(d1, 0)
-	if err != nil {
-		return err
-	}
-	m2, err := mc.Induce(d2, 0)
-	if err != nil {
-		return err
-	}
-	dev, err := core.Deviation(mc, m1, m2, d1, d2, cfg.f, cfg.g)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "dt-models: %d and %d leaves\n", m1.Tree.NumLeaves(), m2.Tree.NumLeaves())
-	fmt.Fprintf(w, "deviation delta(%s,%s) = %.6f\n", cfg.fName, cfg.gName, dev)
-	if cfg.qualify {
-		q, err := core.Qualify(mc, d1, d2, cfg.f, cfg.g, qualifyOptions(cfg)...)
+	tcfg := dtree.Config{MaxDepth: cfg.maxDepth, MinLeaf: cfg.minLeaf}
+	if cfg.follow {
+		tree, err := dtree.BuildP(d1, tcfg, 0)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "significance sig(delta) = %.1f%% (bootstrap, %d replicates)\n", q.Significance, len(q.Null))
+		return runFollow(cfg, core.PinnedDT(tree), d1, d2, w, "tuples", fmt.Sprintf("dt over %d leaves", tree.NumLeaves()))
 	}
-	return nil
+	return runPair(cfg, core.DT(tcfg), d1, d2, w, func(m1, m2 *core.DTModel) string {
+		return fmt.Sprintf("dt-models: %d and %d leaves", m1.Tree.NumLeaves(), m2.Tree.NumLeaves())
+	}, nil)
 }
 
+// runCluster loads two CSV files and runs the cluster-model batch or
+// follow mode over them on the -attrs grid.
 func runCluster(cfg *config, path1, path2 string, w io.Writer) error {
 	schema := classgen.Schema()
 	grid, err := gridFromFlags(cfg, schema)
 	if err != nil {
 		return err
 	}
-	d1, err := readCSV(path1, schema)
-	if err != nil {
-		return err
-	}
-	d2, err := readCSV(path2, schema)
+	d1, d2, err := readCSVPair(schema, path1, path2)
 	if err != nil {
 		return err
 	}
 	mc := core.Cluster(grid, cfg.minDensity)
+	if cfg.follow {
+		return runFollow(cfg, mc, d1, d2, w, "tuples", "cluster over "+cfg.attrs)
+	}
+	return runPair(cfg, mc, d1, d2, w, func(m1, m2 *core.ClusterModel) string {
+		return fmt.Sprintf("cluster-models: %d and %d clusters over %s (%d bins, mindensity %g)",
+			m1.NumClusters(), m2.NumClusters(), cfg.attrs, cfg.bins, cfg.minDensity)
+	}, nil)
+}
+
+// runPair is the batch mode of every class: it prints the class's header
+// line for the two induced models, their deviation, the delta* upper bound
+// under -bound when the class has one (bound non-nil), and under -qualify
+// the deviation's bootstrap significance.
+func runPair[D, M any](cfg *config, mc core.ModelClass[D, M], d1, d2 D, w io.Writer,
+	header func(m1, m2 M) string, bound func(m1, m2 M) float64) error {
 	m1, err := mc.Induce(d1, 0)
 	if err != nil {
 		return err
@@ -256,13 +218,13 @@ func runCluster(cfg *config, path1, path2 string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "cluster-models: %d and %d clusters over %s (%d bins, mindensity %g)\n",
-		m1.NumClusters(), m2.NumClusters(), cfg.attrs, cfg.bins, cfg.minDensity)
+	fmt.Fprintln(w, header(m1, m2))
 	fmt.Fprintf(w, "deviation delta(%s,%s) = %.6f\n", cfg.fName, cfg.gName, dev)
+	if cfg.showBound && bound != nil {
+		fmt.Fprintf(w, "upper bound delta*(%s) = %.6f (no dataset scan)\n", cfg.gName, bound(m1, m2))
+	}
 	if cfg.qualify {
-		// Cluster-model qualification exists only through the unified
-		// pipeline: the per-class API never had it.
-		q, err := core.Qualify(mc, d1, d2, cfg.f, cfg.g, qualifyOptions(cfg)...)
+		q, err := core.Qualify(mc, d1, d2, cfg.f, cfg.g, core.WithReplicates(cfg.replicates), core.WithSeed(cfg.seed))
 		if err != nil {
 			return err
 		}
@@ -271,22 +233,12 @@ func runCluster(cfg *config, path1, path2 string, w io.Writer) error {
 	return nil
 }
 
-func gridFromFlags(cfg *config, schema *dataset.Schema) (*cluster.Grid, error) {
-	var attrs []int
-	for _, name := range strings.Split(cfg.attrs, ",") {
-		name = strings.TrimSpace(name)
-		i := schema.AttrIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("unknown attribute %q in -attrs", name)
-		}
-		attrs = append(attrs, i)
-	}
-	return cluster.NewGrid(schema, attrs, cfg.bins)
-}
-
-// monitorOptions assembles the stream options shared by the follow modes.
-func monitorOptions(cfg *config) stream.Options {
-	return stream.Options{
+// runFollow is the follow mode of every class: it replays sd in batches of
+// -batch rows through a monitor of mc pinned on ref, printing the
+// per-class header line (rows names sd's rows, desc the monitored model),
+// one report line per batch and a trailing alert summary.
+func runFollow[D source.Sliceable[D], M any](cfg *config, mc core.ModelClass[D, M], ref, sd D, w io.Writer, rows, desc string) error {
+	mon, err := stream.New(mc, ref, stream.Options{
 		WindowBatches:  cfg.window,
 		Tumbling:       cfg.tumbling,
 		PreviousWindow: cfg.prev,
@@ -297,7 +249,42 @@ func monitorOptions(cfg *config) stream.Options {
 		Replicates:     cfg.replicates,
 		Seed:           cfg.seed,
 		Parallelism:    cfg.par,
+	})
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(w, "following %d %s in batches of %d (%s, window %d%s)\n",
+		sd.Len(), rows, cfg.batch, desc, cfg.window, followModeSuffix(cfg))
+	if cfg.batch < 1 {
+		return fmt.Errorf("batch size %d < 1", cfg.batch)
+	}
+	n := sd.Len()
+	alerts := 0
+	batchNo := 0
+	for lo := 0; lo < n; lo += cfg.batch {
+		rep, err := mon.Ingest(sd.Slice(lo, min(lo+cfg.batch, n)))
+		if err != nil {
+			return err
+		}
+		printReport(w, cfg, batchNo, rep)
+		if rep != nil && rep.Alert {
+			alerts++
+		}
+		batchNo++
+	}
+	fmt.Fprintf(w, "replayed %d batches, %d alerts\n", batchNo, alerts)
+	return nil
+}
+
+func followModeSuffix(cfg *config) string {
+	out := ""
+	if cfg.tumbling {
+		out += ", tumbling"
+	}
+	if cfg.prev {
+		out += ", vs previous window"
+	}
+	return out
 }
 
 // printReport renders one monitor report as a stable single line.
@@ -317,139 +304,43 @@ func printReport(w io.Writer, cfg *config, batchNo int, rep *stream.Report) {
 	fmt.Fprintln(w)
 }
 
-func runLitsFollow(cfg *config, refPath, streamPath string, w io.Writer) error {
-	ref, err := readTxns(refPath)
-	if err != nil {
-		return err
-	}
-	sd, err := readTxns(streamPath)
-	if err != nil {
-		return err
-	}
-	if sd.NumItems != ref.NumItems {
-		return fmt.Errorf("stream universe %d != reference universe %d", sd.NumItems, ref.NumItems)
-	}
-	mon, err := stream.New(core.Lits(cfg.minsup), ref, monitorOptions(cfg))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "following %d transactions in batches of %d (lits, window %d%s)\n",
-		sd.Len(), cfg.batch, cfg.window, followModeSuffix(cfg))
-	return replay(cfg, len(sd.Txns), w, func(lo, hi int) (*stream.Report, error) {
-		return mon.Ingest(&txn.Dataset{NumItems: ref.NumItems, Txns: sd.Txns[lo:hi]})
-	})
-}
-
-func runDTFollow(cfg *config, refPath, streamPath string, w io.Writer) error {
-	schema := classgen.Schema()
-	ref, err := readCSV(refPath, schema)
-	if err != nil {
-		return err
-	}
-	sd, err := readCSV(streamPath, schema)
-	if err != nil {
-		return err
-	}
-	tree, err := dtree.BuildP(ref, dtConfig(cfg), 0)
-	if err != nil {
-		return err
-	}
-	mon, err := stream.New(core.PinnedDT(tree), ref, monitorOptions(cfg))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "following %d tuples in batches of %d (dt over %d leaves, window %d%s)\n",
-		sd.Len(), cfg.batch, tree.NumLeaves(), cfg.window, followModeSuffix(cfg))
-	return replay(cfg, len(sd.Tuples), w, func(lo, hi int) (*stream.Report, error) {
-		return mon.Ingest(dataset.FromTuples(schema, sd.Tuples[lo:hi]))
-	})
-}
-
-func runClusterFollow(cfg *config, refPath, streamPath string, w io.Writer) error {
-	schema := classgen.Schema()
-	grid, err := gridFromFlags(cfg, schema)
-	if err != nil {
-		return err
-	}
-	ref, err := readCSV(refPath, schema)
-	if err != nil {
-		return err
-	}
-	sd, err := readCSV(streamPath, schema)
-	if err != nil {
-		return err
-	}
-	mon, err := stream.New(core.Cluster(grid, cfg.minDensity), ref, monitorOptions(cfg))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "following %d tuples in batches of %d (cluster over %s, window %d%s)\n",
-		sd.Len(), cfg.batch, cfg.attrs, cfg.window, followModeSuffix(cfg))
-	return replay(cfg, len(sd.Tuples), w, func(lo, hi int) (*stream.Report, error) {
-		return mon.Ingest(dataset.FromTuples(schema, sd.Tuples[lo:hi]))
-	})
-}
-
-func followModeSuffix(cfg *config) string {
-	out := ""
-	if cfg.tumbling {
-		out += ", tumbling"
-	}
-	if cfg.prev {
-		out += ", vs previous window"
-	}
-	return out
-}
-
-// replay feeds [0, n) to ingest in batches of cfg.batch, printing one line
-// per batch and a trailing alert summary.
-func replay(cfg *config, n int, w io.Writer, ingest func(lo, hi int) (*stream.Report, error)) error {
-	if cfg.batch < 1 {
-		return fmt.Errorf("batch size %d < 1", cfg.batch)
-	}
-	alerts := 0
-	batchNo := 0
-	for lo := 0; lo < n; lo += cfg.batch {
-		hi := lo + cfg.batch
-		if hi > n {
-			hi = n
+func gridFromFlags(cfg *config, schema *dataset.Schema) (*cluster.Grid, error) {
+	var attrs []int
+	for _, name := range strings.Split(cfg.attrs, ",") {
+		name = strings.TrimSpace(name)
+		i := schema.AttrIndex(name)
+		if i < 0 {
+			return nil, fmt.Errorf("unknown attribute %q in -attrs", name)
 		}
-		rep, err := ingest(lo, hi)
-		if err != nil {
-			return err
-		}
-		printReport(w, cfg, batchNo, rep)
-		if rep != nil && rep.Alert {
-			alerts++
-		}
-		batchNo++
+		attrs = append(attrs, i)
 	}
-	fmt.Fprintf(w, "replayed %d batches, %d alerts\n", batchNo, alerts)
-	return nil
+	return cluster.NewGrid(schema, attrs, cfg.bins)
 }
 
-func readTxns(path string) (*txn.Dataset, error) {
+// readPair decodes the two dataset files of an invocation.
+func readPair[D any](path1, path2 string, decode func(io.Reader) (D, error)) (d1, d2 D, err error) {
+	if d1, err = readFile(path1, decode); err != nil {
+		return d1, d2, err
+	}
+	d2, err = readFile(path2, decode)
+	return d1, d2, err
+}
+
+// readCSVPair decodes two CSV files on schema.
+func readCSVPair(schema *dataset.Schema, path1, path2 string) (d1, d2 *dataset.Dataset, err error) {
+	return readPair(path1, path2, func(r io.Reader) (*dataset.Dataset, error) { return dataset.ReadCSV(r, schema) })
+}
+
+func readFile[D any](path string, decode func(io.Reader) (D, error)) (D, error) {
 	fh, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var zero D
+		return zero, err
 	}
 	defer fh.Close()
-	d, err := txn.Read(fh)
+	d, err := decode(fh)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return d, nil
-}
-
-func readCSV(path string, schema *dataset.Schema) (*dataset.Dataset, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	d, err := dataset.ReadCSV(fh, schema)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return d, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil
 }

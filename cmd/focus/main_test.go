@@ -223,6 +223,10 @@ func TestGoldenParallelismInvariant(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	refTxns, _, refCSV, streamCSV := inputs(t)
+	// A stream over a 7-item universe cannot be monitored against the
+	// 120-item reference.
+	narrowTxns := writeTxns(t, t.TempDir(), "narrow.txns",
+		&txn.Dataset{NumItems: 7, Txns: []txn.Transaction{{0, 3}, {1, 6}}})
 	cases := []struct {
 		name string
 		args []string
@@ -235,6 +239,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad-attr", []string{"-model", "cluster", "-attrs", "nope", refCSV, streamCSV}, "unknown attribute"},
 		{"missing-file", []string{"-model", "lits", refTxns, filepath.Join(t.TempDir(), "absent.txns")}, "absent"},
 		{"bad-batch", []string{"-model", "lits", "-follow", "-batch", "0", refTxns, refTxns}, "batch size"},
+		{"stream-universe", []string{"-model", "lits", "-follow", refTxns, narrowTxns}, "stream universe 7 != reference universe 120"},
 		// The counting backend is no longer selectable: -counter is an
 		// undefined flag whatever its value.
 		{"bad-counter", []string{"-model", "lits", "-counter", "zz", refTxns, refTxns}, "flag provided but not defined: -counter"},

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -37,48 +36,6 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func TestKMeansSeparatedBlobs(t *testing.T) {
-	d := blobs([][2]float64{{20, 20}, {80, 80}}, 200, 3, 1)
-	rng := rand.New(rand.NewSource(2))
-	res, err := KMeans(d, []int{0, 1}, 2, 100, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centroids) != 2 {
-		t.Fatalf("got %d centroids", len(res.Centroids))
-	}
-	// The two centroids should be near the true centers (in some order).
-	near := func(c []float64, x, y float64) bool {
-		return math.Hypot(c[0]-x, c[1]-y) < 5
-	}
-	ok := (near(res.Centroids[0], 20, 20) && near(res.Centroids[1], 80, 80)) ||
-		(near(res.Centroids[0], 80, 80) && near(res.Centroids[1], 20, 20))
-	if !ok {
-		t.Errorf("centroids %v not near blob centers", res.Centroids)
-	}
-	// Assignments must be consistent: points in one blob share a label.
-	first := res.Assign[0]
-	for i := 1; i < 200; i++ {
-		if res.Assign[i] != first {
-			t.Fatalf("first blob split across clusters at %d", i)
-		}
-	}
-}
-
-func TestKMeansValidation(t *testing.T) {
-	d := blobs([][2]float64{{50, 50}}, 10, 1, 3)
-	rng := rand.New(rand.NewSource(1))
-	if _, err := KMeans(d, []int{0, 1}, 0, 10, rng); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := KMeans(d, []int{0, 1}, 100, 10, rng); err == nil {
-		t.Error("k > n accepted")
-	}
-	if _, err := KMeans(d, []int{5}, 2, 10, rng); err == nil {
-		t.Error("bad attribute index accepted")
-	}
 }
 
 func TestGridCellMapping(t *testing.T) {

@@ -1,3 +1,9 @@
+// Package cluster implements the clustering substrate for cluster-models:
+// a grid-based cluster model whose regions are unions of grid cells. Per
+// Section 2.4 of the paper, a cluster-model identifies a set of
+// non-overlapping regions that need not cover the whole attribute space;
+// deviation computation then proceeds exactly as for dt-models over the
+// overlay of the two region sets.
 package cluster
 
 import (

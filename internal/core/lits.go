@@ -175,21 +175,3 @@ func LitsUpperBound(m1, m2 *LitsModel, g AggFunc) float64 {
 	}
 	return g(diffs)
 }
-
-// LitsSupports returns, for each GCR itemset, its support in each model
-// (zero when the itemset is not frequent in that model) — the quantity
-// delta* is built from; exposed for the examples and the CLI.
-func LitsSupports(m1, m2 *LitsModel) (gcr []apriori.Itemset, sup1, sup2 []float64) {
-	g := newLitsGCR(m1.FS, m2.FS)
-	sup1 = make([]float64, len(g.sets))
-	sup2 = make([]float64, len(g.sets))
-	for i := range g.sets {
-		if j := g.at1[i]; j >= 0 {
-			sup1[i] = m1.FS.Support(j)
-		}
-		if j := g.at2[i]; j >= 0 {
-			sup2[i] = m2.FS.Support(j)
-		}
-	}
-	return g.sets, sup1, sup2
-}

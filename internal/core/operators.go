@@ -87,22 +87,17 @@ type RankedRegion struct {
 // Rank is the rank operator for box regions: it orders the given regions by
 // decreasing deviation between d1 and d2 w.r.t. each region (computed with
 // the difference function f; the aggregate is trivial for a single region).
-// Ties preserve the input order (stable sort).
+// Ties preserve the input order (stable sort). Each region's two
+// measurements shard the tuples across the process default's workers with
+// an exact integer merge, while f — which callers may have made stateful —
+// is applied serially in region order, so the ranking is identical for
+// every worker count.
 func Rank(regions []*region.Box, d1, d2 *dataset.Dataset, f DiffFunc) []RankedRegion {
-	return RankP(regions, d1, d2, f, 0)
-}
-
-// RankP is Rank with a parallelism knob (0 = the process default, 1 = the
-// exact serial path): each region's two measurements shard the tuples
-// across workers with an exact integer merge, while f — which callers may
-// have made stateful — is applied serially in region order, exactly as in
-// the serial path. The ranking is identical for every worker count.
-func RankP(regions []*region.Box, d1, d2 *dataset.Dataset, f DiffFunc, parallelism int) []RankedRegion {
 	out := make([]RankedRegion, len(regions))
 	n1, n2 := float64(d1.Len()), float64(d2.Len())
 	for i, b := range regions {
-		a1 := float64(d1.CountP(b.Contains, parallelism))
-		a2 := float64(d2.CountP(b.Contains, parallelism))
+		a1 := float64(d1.CountP(b.Contains, 0))
+		a2 := float64(d2.CountP(b.Contains, 0))
 		out[i] = RankedRegion{Box: b, Deviation: f(a1, a2, n1, n2)}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Deviation > out[j].Deviation })
@@ -217,18 +212,12 @@ type RankedItemset struct {
 
 // RankItemsets orders itemsets by decreasing deviation between d1 and d2
 // w.r.t. each itemset's region, counting all supports in one scan per
-// dataset.
+// dataset. The two scans shard transactions across the process default's
+// workers with a deterministic shard-order merge, so the ranking is
+// identical for every worker count.
 func RankItemsets(sets []apriori.Itemset, d1, d2 *txn.Dataset, f DiffFunc) []RankedItemset {
-	return RankItemsetsP(sets, d1, d2, f, 0)
-}
-
-// RankItemsetsP is RankItemsets with a parallelism knob (0 = the process
-// default, 1 = the exact serial path): the two support-counting scans shard
-// transactions across workers with a deterministic shard-order merge, so
-// the ranking is identical for every worker count.
-func RankItemsetsP(sets []apriori.Itemset, d1, d2 *txn.Dataset, f DiffFunc, parallelism int) []RankedItemset {
-	c1 := apriori.CountItemsetsP(d1, sets, parallelism)
-	c2 := apriori.CountItemsetsP(d2, sets, parallelism)
+	c1 := apriori.CountItemsetsP(d1, sets, 0)
+	c2 := apriori.CountItemsetsP(d2, sets, 0)
 	n1, n2 := float64(d1.Len()), float64(d2.Len())
 	out := make([]RankedItemset, len(sets))
 	for i, s := range sets {

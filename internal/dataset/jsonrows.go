@@ -28,9 +28,9 @@ import (
 // a syntax error anywhere outranks a value error in the same input.
 
 // TupleDecoder decodes JSON row objects into validated tuples on one
-// schema, with the per-attribute lookup tables built once — the hot-path
-// form of UnmarshalTupleJSON for row streams (JSONLSource, the focusd batch
-// endpoints). A TupleDecoder is safe for concurrent use.
+// schema, with the per-attribute lookup tables built once for row streams
+// (JSONLSource, the focusd batch endpoints). A TupleDecoder is safe for
+// concurrent use.
 type TupleDecoder struct {
 	schema *Schema
 	decode []map[string]float64 // per-attribute categorical decode tables
@@ -335,12 +335,6 @@ func (td *TupleDecoder) convert(spans []valueSpan, t Tuple) error {
 		t[j] = v
 	}
 	return nil
-}
-
-// UnmarshalTupleJSON decodes one JSON row object into a validated tuple on
-// s. For row streams, build a TupleDecoder once instead.
-func UnmarshalTupleJSON(s *Schema, data []byte) (Tuple, error) {
-	return NewTupleDecoder(s).Decode(data)
 }
 
 // rowEncoder renders tuples as JSON row objects with every attribute name

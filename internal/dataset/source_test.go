@@ -177,6 +177,7 @@ func TestJSONLSourceErrorLineNumbers(t *testing.T) {
 
 func TestUnmarshalTupleJSON(t *testing.T) {
 	s := fuzzSchema()
+	td := dataset.NewTupleDecoder(s)
 	cases := []struct {
 		name, row string
 		ok        bool
@@ -193,7 +194,7 @@ func TestUnmarshalTupleJSON(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tup, err := dataset.UnmarshalTupleJSON(s, []byte(c.row))
+			tup, err := td.Decode([]byte(c.row))
 			if c.ok != (err == nil) {
 				t.Fatalf("err = %v, want ok=%v", err, c.ok)
 			}

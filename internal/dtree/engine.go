@@ -9,10 +9,10 @@ import (
 // This file is the induction engine behind BuildP and Builder.Build: the
 // per-node split search over the weighted units of attrlist.go — numeric
 // attributes swept over every cut of their packed presorted lists
-// (bit-identical to BuildNaive), categorical ones through weighted
-// AVC-sets — with the attributes searched on parallel workers and the
-// winners merged in fixed attribute order so the tree is independent of
-// the worker count. A split is realized from the unit columns alone: a
+// (bit-identical to the re-sorting reference builder of the tests),
+// categorical ones through weighted AVC-sets — with the attributes
+// searched on parallel workers and the winners merged in fixed attribute
+// order so the tree is independent of the worker count. A split is realized from the unit columns alone: a
 // numeric split by position in its winning list, a categorical one by
 // code; no float value is read to partition.
 
@@ -56,7 +56,7 @@ func (b *Builder) grow(lo, hi, depth int) *Node {
 }
 
 // leaf closes the segment ending at hi as the next leaf in DFS order —
-// the order numberLeaves assigns ids in.
+// the order NewTree numbers leaves in.
 func (b *Builder) leaf(hi int, counts []int) *Node {
 	n := &Node{LeafID: len(b.leaves), ClassCounts: slices.Clone(counts)}
 	b.leaves = append(b.leaves, n)

@@ -25,7 +25,7 @@
 // the import is acknowledged. A failed import resumes the drained
 // session in place, so a migration never strands a session half-moved.
 //
-// Command focusrouter serves a Router; command focusload drives a fleet
-// (or a single focusd) with N concurrent sessions and records the
-// router-path latency distribution.
+// Command focusrouter serves a Router; the benchmark's serving workloads
+// (perfbench/fleet.go) drive an in-process Router over loopback HTTP and
+// record the router-path latency distribution.
 package fleet

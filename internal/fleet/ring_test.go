@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// sessionNames returns n deterministic session-name keys shaped like the
-// names focusload generates.
+// sessionNames returns n deterministic, numbered session-name keys, the
+// shape a load generator gives the sessions it creates.
 func sessionNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {

@@ -244,9 +244,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 func (g *Generator) pickPattern() *pattern {
 	u := g.rng.Float64()
 	i := sort.SearchFloat64s(g.cumW, u)

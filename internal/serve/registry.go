@@ -112,12 +112,6 @@ type Session struct {
 // for lits sessions, a *dataset.Dataset for dt and cluster sessions.
 type batch = any
 
-// Name returns the session name.
-func (s *Session) Name() string { return s.name }
-
-// Model returns the session's model class name.
-func (s *Session) Model() string { return s.model }
-
 // Create validates cfg, builds the model class and monitor, and registers
 // the session under cfg.Name. It fails with a client error (statusError 400)
 // on any invalid configuration, schema, or reference payload, and with 409

@@ -59,18 +59,3 @@ func Significance(d float64, null []float64) float64 {
 	below := sort.SearchFloat64s(null, d)
 	return 100 * float64(below) / float64(len(null))
 }
-
-// CriticalValue returns the (1-alpha) quantile of the sorted null
-// distribution: deviations above it are significant at level alpha.
-func CriticalValue(null []float64, alpha float64) float64 {
-	if len(null) == 0 {
-		panic("stats: critical value of empty null distribution")
-	}
-	if alpha <= 0 {
-		return null[len(null)-1]
-	}
-	if alpha >= 1 {
-		return null[0]
-	}
-	return Quantile(null, 1-alpha)
-}

@@ -68,29 +68,6 @@ func TestSignificance(t *testing.T) {
 	}
 }
 
-func TestCriticalValue(t *testing.T) {
-	null := make([]float64, 100)
-	for i := range null {
-		null[i] = float64(i + 1) // 1..100
-	}
-	cv := CriticalValue(null, 0.05)
-	if cv < 95 || cv > 96.5 {
-		t.Errorf("95%% critical value = %v, want ~95-96", cv)
-	}
-	if got := CriticalValue(null, 0); got != 100 {
-		t.Errorf("alpha=0 critical value = %v, want max", got)
-	}
-	if got := CriticalValue(null, 1); got != 1 {
-		t.Errorf("alpha=1 critical value = %v, want min", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CriticalValue on empty null did not panic")
-		}
-	}()
-	CriticalValue(nil, 0.05)
-}
-
 func TestNullDistributionParallelSafety(t *testing.T) {
 	// Heavy concurrent draws must neither race (run with -race) nor lose
 	// replicates.

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -16,24 +13,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the unbiased sample variance of xs (denominator n-1), or
-// 0 when fewer than two observations are given.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // MinMax returns the smallest and largest values of xs. It panics on an
 // empty slice.
@@ -51,35 +30,6 @@ func MinMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Quantile returns the p-quantile (p in [0,1]) of the sorted slice xs using
-// linear interpolation between order statistics.
-func Quantile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		panic("stats: quantile of empty slice")
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[n-1]
-	}
-	pos := p * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Median returns the median of xs (which need not be sorted).
-func Median(xs []float64) float64 {
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	return Quantile(c, 0.5)
 }
 
 // PearsonCorrelation returns the sample correlation coefficient between xs

@@ -9,10 +9,8 @@ import (
 func TestMeanVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	approx(t, "mean", Mean(xs), 5, 1e-12)
-	approx(t, "variance", Variance(xs), 32.0/7, 1e-12)
-	approx(t, "stddev", StdDev(xs), math.Sqrt(32.0/7), 1e-12)
-	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate inputs should give 0")
+	if Mean(nil) != 0 {
+		t.Error("Mean of an empty slice should be 0")
 	}
 }
 
@@ -27,17 +25,6 @@ func TestMinMax(t *testing.T) {
 		}
 	}()
 	MinMax(nil)
-}
-
-func TestQuantileAndMedian(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5}
-	approx(t, "q0", Quantile(sorted, 0), 1, 0)
-	approx(t, "q1", Quantile(sorted, 1), 5, 0)
-	approx(t, "median", Quantile(sorted, 0.5), 3, 0)
-	approx(t, "q0.25", Quantile(sorted, 0.25), 2, 0)
-	approx(t, "interp", Quantile([]float64{0, 10}, 0.3), 3, 1e-12)
-	approx(t, "Median unsorted", Median([]float64{5, 1, 3}), 3, 0)
-	approx(t, "Median even", Median([]float64{1, 2, 3, 4}), 2.5, 1e-12)
 }
 
 func TestPearsonCorrelation(t *testing.T) {
@@ -80,18 +67,5 @@ func TestCorrelationBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: quantiles are monotone in p.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	sorted := []float64{1, 1, 2, 3, 5, 8, 13, 21}
-	prev := math.Inf(-1)
-	for p := 0.0; p <= 1.0001; p += 0.05 {
-		q := Quantile(sorted, p)
-		if q < prev {
-			t.Fatalf("Quantile(%v) = %v < previous %v", p, q, prev)
-		}
-		prev = q
 	}
 }

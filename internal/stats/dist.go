@@ -1,165 +1,13 @@
 // Package stats implements the statistical substrate FOCUS relies on:
 // bootstrap estimation of null deviation distributions (the qualification
 // procedure of Section 3.4), the Wilcoxon two-sample rank-sum test used by
-// the sample-size study of Section 6, the chi-squared distribution used by
-// the goodness-of-fit instantiation of Section 5.2.2, and descriptive
-// helpers. Everything is implemented from scratch on the standard library.
+// the sample-size study of Section 6, and descriptive helpers. Everything
+// is implemented from scratch on the standard library.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // NormalCDF returns P(Z <= z) for a standard normal variable Z.
 func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// NormalQuantile returns the z with NormalCDF(z) = p, for p in (0,1), using
-// the Acklam rational approximation refined by one Newton step. Accuracy is
-// better than 1e-9 over the full range.
-func NormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("stats: normal quantile of p=%v outside (0,1)", p))
-	}
-	// Acklam's approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const plow, phigh = 0.02425, 1 - 0.02425
-	var x float64
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= phigh:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Newton refinement using the analytic density.
-	e := NormalCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	return x - u/(1+x*u/2)
-}
-
-// GammaP returns the regularized lower incomplete gamma function P(a, x),
-// computed by series expansion for x < a+1 and by continued fraction
-// otherwise (Numerical Recipes style, using math.Lgamma).
-func GammaP(a, x float64) float64 {
-	switch {
-	case a <= 0:
-		panic(fmt.Sprintf("stats: GammaP requires a > 0, got %v", a))
-	case x < 0:
-		panic(fmt.Sprintf("stats: GammaP requires x >= 0, got %v", x))
-	case x == 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0:
-		panic(fmt.Sprintf("stats: GammaQ requires a > 0, got %v", a))
-	case x < 0:
-		panic(fmt.Sprintf("stats: GammaQ requires x >= 0, got %v", x))
-	case x == 0:
-		return 1
-	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x)
-	}
-	return gammaContinuedFraction(a, x)
-}
-
-const (
-	gammaEps     = 3e-15
-	gammaMaxIter = 500
-)
-
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < gammaMaxIter; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*gammaEps {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaContinuedFraction(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	const fpmin = 1e-300
-	b := x + 1 - a
-	c := 1 / fpmin
-	d := 1 / b
-	h := d
-	for i := 1; i <= gammaMaxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < gammaEps {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// ChiSquaredCDF returns P(X <= x) for a chi-squared variable with df degrees
-// of freedom.
-func ChiSquaredCDF(x float64, df int) float64 {
-	if df <= 0 {
-		panic(fmt.Sprintf("stats: chi-squared needs df >= 1, got %d", df))
-	}
-	if x <= 0 {
-		return 0
-	}
-	return GammaP(float64(df)/2, x/2)
-}
-
-// ChiSquaredPValue returns the upper-tail probability P(X >= x) for a
-// chi-squared variable with df degrees of freedom — the p-value of the
-// goodness-of-fit test.
-func ChiSquaredPValue(x float64, df int) float64 {
-	if df <= 0 {
-		panic(fmt.Sprintf("stats: chi-squared needs df >= 1, got %d", df))
-	}
-	if x <= 0 {
-		return 1
-	}
-	return GammaQ(float64(df)/2, x/2)
 }

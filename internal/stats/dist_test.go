@@ -34,104 +34,3 @@ func TestNormalCDFSymmetry(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.001, 0.01, 0.025, 0.1, 0.5, 0.9, 0.975, 0.99, 0.999} {
-		z := NormalQuantile(p)
-		approx(t, "Phi(Phi^-1(p))", NormalCDF(z), p, 1e-9)
-	}
-	approx(t, "z(0.975)", NormalQuantile(0.975), 1.9599640, 1e-6)
-	approx(t, "z(0.5)", NormalQuantile(0.5), 0, 1e-9)
-}
-
-func TestNormalQuantilePanics(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NormalQuantile(%v) did not panic", p)
-				}
-			}()
-			NormalQuantile(p)
-		}()
-	}
-}
-
-func TestGammaPComplement(t *testing.T) {
-	// P(a,x) + Q(a,x) = 1 for both computation branches.
-	for _, c := range []struct{ a, x float64 }{
-		{0.5, 0.1}, {0.5, 5}, {2, 1}, {2, 10}, {10, 3}, {10, 30}, {50, 49},
-	} {
-		sum := GammaP(c.a, c.x) + GammaQ(c.a, c.x)
-		approx(t, "P+Q", sum, 1, 1e-12)
-	}
-}
-
-func TestGammaPMonotone(t *testing.T) {
-	prev := 0.0
-	for x := 0.0; x <= 20; x += 0.25 {
-		p := GammaP(3, x)
-		if p < prev-1e-12 {
-			t.Fatalf("GammaP(3,%v) = %v decreased from %v", x, p, prev)
-		}
-		prev = p
-	}
-	approx(t, "GammaP(1,1)", GammaP(1, 1), 1-math.Exp(-1), 1e-12)
-}
-
-func TestChiSquaredCDFAgainstTables(t *testing.T) {
-	// Critical values from standard chi-squared tables: CDF at the 95th
-	// percentile critical value must be 0.95.
-	cases := []struct {
-		df  int
-		x95 float64
-		x99 float64
-	}{
-		{1, 3.841, 6.635},
-		{2, 5.991, 9.210},
-		{5, 11.070, 15.086},
-		{10, 18.307, 23.209},
-		{30, 43.773, 50.892},
-	}
-	for _, c := range cases {
-		approx(t, "chi2 95th", ChiSquaredCDF(c.x95, c.df), 0.95, 5e-4)
-		approx(t, "chi2 99th", ChiSquaredCDF(c.x99, c.df), 0.99, 5e-4)
-	}
-}
-
-func TestChiSquaredPValue(t *testing.T) {
-	approx(t, "p(3.841, 1)", ChiSquaredPValue(3.841, 1), 0.05, 5e-4)
-	if got := ChiSquaredPValue(0, 3); got != 1 {
-		t.Errorf("p-value at 0 = %v, want 1", got)
-	}
-	if got := ChiSquaredCDF(-1, 3); got != 0 {
-		t.Errorf("CDF at -1 = %v, want 0", got)
-	}
-}
-
-func TestChiSquaredPanicsOnBadDF(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ChiSquaredCDF with df=0 did not panic")
-		}
-	}()
-	ChiSquaredCDF(1, 0)
-}
-
-func TestGammaPanicsOnBadArgs(t *testing.T) {
-	for _, f := range []func(){
-		func() { GammaP(0, 1) },
-		func() { GammaP(1, -1) },
-		func() { GammaQ(-1, 1) },
-		func() { GammaQ(1, -0.5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic on invalid gamma arguments")
-				}
-			}()
-			f()
-		}()
-	}
-}
