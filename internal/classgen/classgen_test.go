@@ -1,6 +1,9 @@
 package classgen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -291,6 +294,55 @@ func TestClassBalanceReasonable(t *testing.T) {
 		frac := float64(counts[0]) / float64(d.Len())
 		if frac < 0.03 || frac > 0.97 {
 			t.Errorf("%v class balance = %v, degenerate", fn, frac)
+		}
+	}
+}
+
+// TestGenerateStreamDigest pins the generated bytes: for each function,
+// with and without label noise, the WriteCSV output followed by one byte
+// per tuple's class label must hash to the recorded SHA-256.
+func TestGenerateStreamDigest(t *testing.T) {
+	want := map[string]string{
+		"F1/noise0":    "71c1be1cffef00f03dd832cc38980eb0cb7d68d02cde23f775ba735812fa0c1e",
+		"F2/noise0":    "62eb8d2e67c32b731d72b5ad771b50415a3db033f0b8eb7ffafb48a8793f1495",
+		"F3/noise0":    "926b0838d2aa45a59d4ac5cb586b8d5eb4d137e9ede78e9e36e855e82eb50784",
+		"F4/noise0":    "860f2960bf4d5479d09a14e5198bd996f0b393c7cb195ae0c4ff7156a94d608d",
+		"F5/noise0":    "87772707deaabe6d1d06ab2da9d46ea9d4c9bce21217b90057509f2ca06610e1",
+		"F6/noise0":    "87a98acf75e0d76c99d26aa40be789aa882c34f1bbc2e489bc78b7ed13e357fc",
+		"F7/noise0":    "b91010ff5298db8f40094ff7d454c375770b3f96a6a698af86591a9fd514b555",
+		"F8/noise0":    "0f3c9b91492194e2447b5740ae71981a569b42df33f9681af22819564c56a26c",
+		"F9/noise0":    "52f0598fc282a7118683401a491a4234df538011786212c6ce01e1c6dcffd111",
+		"F10/noise0":   "a1ca1bde979d5dd9e38a66c34ee171a95e7cf801ead50b6bd7bb7854e99ef0e7",
+		"F1/noise0.1":  "df10179c2ceaa23f071312fce9a86f12b63b9d6c9b17c56bac81f382b443c059",
+		"F2/noise0.1":  "9e3e23c012a7558124a755a904c0b030e6d37b99a365dd4442c58075ce927874",
+		"F3/noise0.1":  "26decc7e4bb1c1311008e9906546252c45af9d7554669b3e704ca6af43663385",
+		"F4/noise0.1":  "596b34fb84e6b6deae12f0d4543b3481976d35a50445bcdd8486526474b37334",
+		"F5/noise0.1":  "54a6d2251662f1dcd2a0622f1ebf56c6a6e91d0af93e4c44a0b541e888d4bb48",
+		"F6/noise0.1":  "b763f9696f103f8db2f92eff7f614bba257e05b8b4f46ca0ca5d5bc89ce8cc2d",
+		"F7/noise0.1":  "bcde64425513f9a400981d370f39dac552b8504f1a7e6331f4d91c53ee13cd24",
+		"F8/noise0.1":  "51fa033a1756cc4152807c657cae0e53a59af42c7ca7f830186b6eef8c768f5b",
+		"F9/noise0.1":  "5dfb92d1e84429326ea0c0e6a614d3ab0e562b028e0616098b6787fd3fc96ab2",
+		"F10/noise0.1": "0d59bea0ecde13ceb0d6d89cae27f16928fdb48d876de57a2e138aca4386bb5a",
+	}
+	for _, noise := range []float64{0, 0.1} {
+		for f := F1; f <= F10; f++ {
+			name := fmt.Sprintf("%s/noise%v", f, noise)
+			t.Run(name, func(t *testing.T) {
+				d, err := Generate(Config{NumTuples: 1000, Function: f, NoiseLevel: noise, Seed: int64(f)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				if err := d.WriteCSV(h); err != nil {
+					t.Fatal(err)
+				}
+				for _, tu := range d.Tuples {
+					h.Write([]byte{byte(tu.Class(d.Schema))})
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+					t.Errorf("digest %s, want %s", got, want[name])
+				}
+			})
 		}
 	}
 }

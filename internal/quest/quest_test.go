@@ -1,6 +1,8 @@
 package quest
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 )
@@ -193,5 +195,54 @@ func TestPoissonMean(t *testing.T) {
 	mean := float64(sum) / n
 	if math.Abs(mean-5) > 0.15 {
 		t.Errorf("poisson(5) sample mean = %v", mean)
+	}
+}
+
+// TestGenerateStreamDigest pins the generated bytes: each config's
+// txn.Write output must hash to the recorded SHA-256, so any change to the
+// generator's RNG calls, their order or its normalization shows here.
+func TestGenerateStreamDigest(t *testing.T) {
+	cfgOf := func(txns, items, pats int, tl, patlen float64, seed int64) Config {
+		c := DefaultConfig(txns)
+		c.NumItems, c.NumPatterns, c.AvgTxnLen, c.AvgPatternLen, c.Seed = items, pats, tl, patlen, seed
+		return c
+	}
+	cases := []struct {
+		name  string
+		cfg   Config
+		calls []int // GenerateN sizes on one generator; nil = Generate
+		want  string
+	}{
+		{"defaults", DefaultConfig(3000), nil, "a8382bc43cd6f93964464724ed5a5196df53ff5e24bf334e19ff2349aa300f55"},
+		{"qualify-patlen4", cfgOf(4000, 500, 1000, 20, 4, 1), nil, "b15d7f94a1ee476c2318c00c89623ad14b6f9b54c58dd7779f897738353fb2d8"},
+		{"qualify-patlen5", cfgOf(4000, 500, 1000, 20, 5, 2), nil, "d4960334da6a9349f75f89d91c85e0f25c84de33d824a638d6730c8299972dff"},
+		{"items100k", cfgOf(2000, 100_000, 1000, 20, 4, 3), nil, "e477b1fa970402cd3ad9a232b1fbbcea3a36ef2cfdc376252afaa7c88c1cf51b"},
+		{"items5k", cfgOf(2000, 5000, 1000, 20, 4, 4), nil, "1ea1140ddbc6249f2d0217516e9f5a3e49d600a18d37be086e572b395615d74a"},
+		{"items64-tl40", cfgOf(2000, 64, 200, 40, 4, 5), nil, "a3388f7a65f7ef085481df99dd454130e9f428e16d45542659cc73c2eb45da47"},
+		{"pats1", cfgOf(2000, 1000, 1, 20, 4, 6), nil, "b83a7721fbbf93c02acb938ff6eb7b5a4d2b94b56fd67fe080fc291d697af440"},
+		{"pats3", cfgOf(2000, 1000, 3, 20, 4, 7), nil, "55a4bb879361c331f15f086038dd1310f03cabfe45103d5a699f697a5d64f1f4"},
+		{"generateN-twice", cfgOf(0, 500, 1000, 20, 5, 8), []int{1500, 1500}, "f9d9580c7eb185998cbd1f1dc212d2991ceedfd857d5be08ccfac3f55f81ac95"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := NewGenerator(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if tc.calls == nil {
+				if err := g.Generate().Write(h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, n := range tc.calls {
+				if err := g.GenerateN(n).Write(h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("digest %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
