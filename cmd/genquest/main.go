@@ -9,31 +9,49 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"focus/internal/quest"
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	default:
+		fmt.Fprintln(os.Stderr, "genquest:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes one genquest invocation: the dataset goes to the -o file or
+// to stdout, the one-line summary to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("genquest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name   = flag.String("name", "", "dataset name in the paper's convention (overrides the numeric flags)")
-		txns   = flag.Int("txns", 100000, "number of transactions (N)")
-		tl     = flag.Float64("tl", 20, "average transaction length")
-		items  = flag.Int("items", 1000, "item universe size |I|")
-		pats   = flag.Int("pats", 4000, "number of potential patterns |L|")
-		patlen = flag.Float64("patlen", 4, "average pattern length")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		out    = flag.String("o", "", "output file (default stdout)")
+		name   = fs.String("name", "", "dataset name in the paper's convention (overrides the numeric flags)")
+		txns   = fs.Int("txns", 100000, "number of transactions (N)")
+		tl     = fs.Float64("tl", 20, "average transaction length")
+		items  = fs.Int("items", 1000, "item universe size |I|")
+		pats   = fs.Int("pats", 4000, "number of potential patterns |L|")
+		patlen = fs.Float64("patlen", 4, "average pattern length")
+		seed   = fs.Int64("seed", 1, "generator seed")
+		out    = fs.String("o", "", "output file (default stdout)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var cfg quest.Config
 	if *name != "" {
 		parsed, err := quest.ParseName(*name)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg = parsed
 	} else {
@@ -47,24 +65,28 @@ func main() {
 
 	d, err := quest.Generate(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	if err := writeOutput(*out, stdout, d.Write); err != nil {
+		return err
 	}
-	if err := d.Write(w); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "generated %s: %d transactions, avg length %.2f\n", cfg.Name(), d.Len(), d.AvgLen())
+	fmt.Fprintf(stderr, "generated %s: %d transactions, avg length %.2f\n", cfg.Name(), d.Len(), d.AvgLen())
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "genquest:", err)
-	os.Exit(1)
+// writeOutput runs write on the file at path, or on stdout when path is
+// empty, and reports the first error of the write and the close.
+func writeOutput(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "" {
+		return write(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -271,8 +271,10 @@ func Generate(cfg Config) (*dataset.Dataset, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := dataset.New(Schema())
 	d.Tuples = make([]dataset.Tuple, 0, cfg.NumTuples)
+	// Tuples are carved from one block, each clipped to its own attributes.
+	block := make([]float64, cfg.NumTuples*numAttrs)
 	for i := 0; i < cfg.NumTuples; i++ {
-		t := make(dataset.Tuple, numAttrs)
+		t := dataset.Tuple(block[i*numAttrs : (i+1)*numAttrs : (i+1)*numAttrs])
 		t[AttrSalary] = uniform(rng, 20000, 150000)
 		if t[AttrSalary] >= 75000 {
 			t[AttrCommission] = 0

@@ -346,3 +346,19 @@ func TestGenerateStreamDigest(t *testing.T) {
 		}
 	}
 }
+
+// benchDataset keeps the benchmarked result reachable.
+var benchDataset *dataset.Dataset
+
+// BenchmarkClassgenGenerate generates one dt input of the qualify-batch
+// job: 8000 F2 tuples.
+func BenchmarkClassgenGenerate(b *testing.B) {
+	cfg := Config{NumTuples: 8000, Function: F2, Seed: 1}
+	for b.Loop() {
+		d, err := Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDataset = d
+	}
+}

@@ -312,25 +312,56 @@ func RankRegions[D, M any](mc ModelClass[D, M], m1, m2 M, d1, d2 D, f DiffFunc, 
 // sizes re-induce models and recompute the deviation, and sig(d) is the
 // percentage of that null distribution below the observed deviation. It is
 // the single qualification pipeline for every model class.
+//
+// The observed deviation is the first task of the bootstrap's worker pool,
+// computed at parallelism 1 like every replicate (a deviation does not
+// depend on the worker count), so one worker computes it while the others
+// start on the replicates.
 func Qualify[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, opts ...Option) (Qualification, error) {
 	cfg := NewConfig(opts...)
 	if mc.Len(d1) == 0 || mc.Len(d2) == 0 {
-		return Qualification{}, errors.New("core: qualification requires non-empty datasets")
+		return Qualification{}, errEmptyQualify
 	}
-	m1, err := mc.Induce(d1, cfg.Parallelism)
+	newDraw, err := nullDraws(mc, d1, d2, f, g, &cfg)
+	if err != nil {
+		// The observed path's errors take precedence over the pool's.
+		if _, oerr := observedDeviation(mc, d1, d2, f, g, &cfg); oerr != nil {
+			return Qualification{}, oerr
+		}
+		return Qualification{}, err
+	}
+	serial := cfg
+	serial.Parallelism = 1
+	observed := make([]float64, 1) // the first task's result
+	null, err := stats.NullDistributionWith(cfg.Replicates, cfg.Parallelism, cfg.Seed, func() error {
+		var err error
+		observed[0], err = observedDeviation(mc, d1, d2, f, g, &serial)
+		return err
+	}, newDraw)
 	if err != nil {
 		return Qualification{}, err
+	}
+	return qualification(observed[0], null), nil
+}
+
+var errEmptyQualify = errors.New("core: qualification requires non-empty datasets")
+
+// observedDeviation induces a model of each dataset and returns their
+// deviation delta(f,g).
+func observedDeviation[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, cfg *Config) (float64, error) {
+	m1, err := mc.Induce(d1, cfg.Parallelism)
+	if err != nil {
+		return 0, err
 	}
 	m2, err := mc.Induce(d2, cfg.Parallelism)
 	if err != nil {
-		return Qualification{}, err
+		return 0, err
 	}
-	regions, err := mc.MeasureGCR(m1, m2, d1, d2, &cfg)
+	regions, err := mc.MeasureGCR(m1, m2, d1, d2, cfg)
 	if err != nil {
-		return Qualification{}, err
+		return 0, err
 	}
-	observed := Deviation1(regions, float64(mc.Len(d1)), float64(mc.Len(d2)), f, g)
-	return QualifyObserved(mc, d1, d2, observed, f, g, opts...)
+	return Deviation1(regions, float64(mc.Len(d1)), float64(mc.Len(d2)), f, g), nil
 }
 
 // QualifyObserved is Qualify for a caller that already holds the observed
@@ -340,22 +371,44 @@ func Qualify[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, opt
 // bit-identical to Qualify's.
 func QualifyObserved[D, M any](mc ModelClass[D, M], d1, d2 D, observed float64, f DiffFunc, g AggFunc, opts ...Option) (Qualification, error) {
 	cfg := NewConfig(opts...)
-	n1, n2 := mc.Len(d1), mc.Len(d2)
-	if n1 == 0 || n2 == 0 {
-		return Qualification{}, errors.New("core: qualification requires non-empty datasets")
+	if mc.Len(d1) == 0 || mc.Len(d2) == 0 {
+		return Qualification{}, errEmptyQualify
 	}
-	pool, err := mc.Concat(d1, d2)
+	newDraw, err := nullDraws(mc, d1, d2, f, g, &cfg)
 	if err != nil {
 		return Qualification{}, err
+	}
+	null := stats.NullDistributionP(cfg.Replicates, cfg.Parallelism, cfg.Seed, newDraw)
+	return qualification(observed, null), nil
+}
+
+// qualification places the observed deviation in its null distribution.
+func qualification(observed float64, null []float64) Qualification {
+	return Qualification{
+		Deviation:    observed,
+		Significance: stats.Significance(observed, null),
+		Null:         null,
+	}
+}
+
+// nullDraws pools d1 and d2 and returns the bootstrap's per-worker draw
+// factory: each draw resamples a dataset pair of the original sizes from
+// the pool (or, in Extension mode, D1 and D1 + Delta) and returns their
+// deviation.
+func nullDraws[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, cfg *Config) (func() func(*rand.Rand) float64, error) {
+	n1, n2 := mc.Len(d1), mc.Len(d2)
+	pool, err := mc.Concat(d1, d2)
+	if err != nil {
+		return nil, err
 	}
 	blockN := 0
 	if cfg.Extension {
 		if n2 < n1 {
-			return Qualification{}, errors.New("core: Extension qualification requires |D2| >= |D1|")
+			return nil, errors.New("core: Extension qualification requires |D2| >= |D1|")
 		}
 		blockN = n2 - n1
 	}
-	serial := cfg
+	serial := *cfg
 	serial.Parallelism = 1
 	draw := func(rng *rand.Rand) float64 {
 		// The draw closure runs on concurrent workers: every variable
@@ -389,7 +442,7 @@ func QualifyObserved[D, M any](mc ModelClass[D, M], d1, d2 D, observed float64, 
 	}
 	newDraw := func() func(*rand.Rand) float64 { return draw }
 	if fast, ok := any(mc).(bootstrapper[D]); ok {
-		if newRep, ok := fast.newReplicate(pool, &cfg); ok {
+		if newRep, ok := fast.newReplicate(pool, cfg); ok {
 			newDraw = func() func(*rand.Rand) float64 {
 				rep := newRep()
 				return func(rng *rand.Rand) float64 {
@@ -398,10 +451,5 @@ func QualifyObserved[D, M any](mc ModelClass[D, M], d1, d2 D, observed float64, 
 			}
 		}
 	}
-	null := stats.NullDistributionP(cfg.Replicates, cfg.Parallelism, cfg.Seed, newDraw)
-	return Qualification{
-		Deviation:    observed,
-		Significance: stats.Significance(observed, null),
-		Null:         null,
-	}, nil
+	return newDraw, nil
 }

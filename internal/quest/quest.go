@@ -9,8 +9,10 @@ package quest
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -166,7 +168,15 @@ type Generator struct {
 	cfg      Config
 	patterns []pattern
 	cumW     []float64 // cumulative normalized weights for pattern selection
-	rng      *rand.Rand
+	// guide[b] is the first index with cumW[i] >= b/(len(guide)-1): a
+	// starting point for pickPattern's search that lands on or next to the
+	// answer.
+	guide  []int32
+	txnLen poissonDist // transaction sizes, less one
+	rng    *rand.Rand
+	// seen is a bitmap of the item universe, all zero between calls, that
+	// sorts and dedupes a transaction in normalize.
+	seen []uint64
 }
 
 // NewGenerator builds the potential large itemsets per the published
@@ -179,12 +189,13 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := &Generator{cfg: cfg, rng: rng}
+	g := &Generator{cfg: cfg, rng: rng, txnLen: newPoisson(cfg.AvgTxnLen - 1)}
 	g.patterns = make([]pattern, cfg.NumPatterns)
 	weights := make([]float64, cfg.NumPatterns)
+	patLen := newPoisson(cfg.AvgPatternLen - 1)
 	var prev []txn.Item
 	for i := range g.patterns {
-		size := poisson(rng, cfg.AvgPatternLen-1) + 1 // at least one item
+		size := patLen.draw(rng) + 1 // at least one item
 		if size > cfg.NumItems {
 			size = cfg.NumItems
 		}
@@ -241,25 +252,69 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		g.cumW[i] = acc
 	}
 	g.cumW[len(g.cumW)-1] = 1
+	// One guide bucket per pattern, plus one for u*B rounding up to B.
+	g.guide = make([]int32, len(g.cumW)+1)
+	i := 0
+	for b := range g.guide {
+		lo := float64(b) / float64(len(g.cumW))
+		for i < len(g.cumW)-1 && g.cumW[i] < lo {
+			i++
+		}
+		g.guide[b] = int32(i)
+	}
+	g.seen = make([]uint64, (cfg.NumItems+63)/64)
 	return g, nil
 }
 
+// pickPattern draws a pattern by its weight: the first index whose
+// cumulative weight reaches a uniform draw, exactly what
+// sort.SearchFloat64s(g.cumW, u) returns. The search starts at the draw's
+// guide bucket and walks down, then up, to that index, so its result does
+// not depend on what the guide holds.
 func (g *Generator) pickPattern() *pattern {
 	u := g.rng.Float64()
-	i := sort.SearchFloat64s(g.cumW, u)
+	i := int(g.guide[int(u*float64(len(g.cumW)))])
+	for i > 0 && g.cumW[i-1] >= u {
+		i--
+	}
+	for i < len(g.cumW) && g.cumW[i] < u {
+		i++
+	}
 	if i >= len(g.patterns) {
 		i = len(g.patterns) - 1
 	}
 	return &g.patterns[i]
 }
 
-// corrupt returns the pattern's items after corruption: items are dropped
-// one at a time while a uniform draw stays below the pattern's corruption
-// level, per the published procedure. The result aliases scratch storage
-// owned by the caller.
-func (g *Generator) corrupt(p *pattern, scratch []txn.Item) []txn.Item {
-	items := append(scratch[:0], p.items...)
-	for len(items) > 0 && g.rng.Float64() < p.corruption {
+// normalize sorts t and removes duplicate items in place, as
+// Transaction.Normalize does. Where the universe's bitmap has at most four
+// words per item of t, it sets t's bits and reads them back in order;
+// otherwise sweeping the bitmap would cost more than sorting t.
+func (g *Generator) normalize(t txn.Transaction) txn.Transaction {
+	if len(g.seen) > 4*len(t) {
+		return t.Normalize()
+	}
+	for _, x := range t {
+		g.seen[x>>6] |= 1 << (x & 63)
+	}
+	out := t[:0]
+	for w, bitsW := range g.seen {
+		if bitsW == 0 {
+			continue
+		}
+		for ; bitsW != 0; bitsW &= bitsW - 1 {
+			out = append(out, txn.Item(w<<6+bits.TrailingZeros64(bitsW)))
+		}
+		g.seen[w] = 0
+	}
+	return out
+}
+
+// corrupt drops items from a copy of a pattern's items one at a time while
+// a uniform draw stays below the pattern's corruption level, per the
+// published procedure, and returns the shortened slice.
+func (g *Generator) corrupt(items []txn.Item, corruption float64) []txn.Item {
+	for len(items) > 0 && g.rng.Float64() < corruption {
 		j := g.rng.Intn(len(items))
 		items[j] = items[len(items)-1]
 		items = items[:len(items)-1]
@@ -277,35 +332,39 @@ func (g *Generator) Generate() *txn.Dataset {
 func (g *Generator) GenerateN(n int) *txn.Dataset {
 	d := txn.New(g.cfg.NumItems)
 	d.Txns = make([]txn.Transaction, 0, n)
-	var deferred []txn.Item // pattern carried over to the next transaction
-	scratch := make([]txn.Item, 0, 64)
+	var (
+		t        txn.Transaction // the transaction being assembled
+		deferred []txn.Item      // pattern carried over to the next transaction
+	)
 	for len(d.Txns) < n {
-		size := poisson(g.rng, g.cfg.AvgTxnLen-1) + 1
-		t := make(txn.Transaction, 0, size+8)
-		if len(deferred) > 0 {
-			t = append(t, deferred...)
-			deferred = nil
-		}
+		size := g.txnLen.draw(g.rng) + 1
+		t = append(t[:0], deferred...)
+		deferred = deferred[:0]
 		// Keep assigning (corrupted) patterns until the transaction is full.
 		// If a pattern does not fit, it is added anyway in half the cases and
 		// deferred to the next transaction otherwise — per the published
-		// algorithm.
+		// algorithm. Each pattern is copied onto t's tail and corrupted there.
 		for guard := 0; len(t) < size && guard < 8*size+16; guard++ {
-			items := g.corrupt(g.pickPattern(), scratch)
+			p := g.pickPattern()
+			base := len(t)
+			t = append(t, p.items...)
+			items := g.corrupt(t[base:], p.corruption)
+			t = t[:base+len(items)]
 			if len(items) == 0 {
 				continue
 			}
-			if len(t)+len(items) <= size || g.rng.Intn(2) == 0 {
-				t = append(t, items...)
-			} else {
-				deferred = append([]txn.Item(nil), items...)
+			if len(t) > size && g.rng.Intn(2) != 0 {
+				deferred = append(deferred, items...)
+				t = t[:base]
 				break
 			}
 		}
 		if len(t) == 0 {
 			continue
 		}
-		d.Txns = append(d.Txns, t.Normalize())
+		// An exact-size copy per transaction: a dataset sharing only some
+		// of them (a resample) keeps no others alive.
+		d.Txns = append(d.Txns, slices.Clone(g.normalize(t)))
 	}
 	return d
 }
@@ -320,18 +379,26 @@ func Generate(cfg Config) (*txn.Dataset, error) {
 	return g.Generate(), nil
 }
 
-// poisson draws from a Poisson distribution with the given mean using
-// Knuth's product method; adequate for the means (<=20) used here.
-func poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
+// poissonDist is a Poisson distribution drawn by Knuth's product method,
+// adequate for the means (<=20) used here. It holds e^-mean so that each
+// draw need not recompute it.
+type poissonDist struct {
+	mean, expNeg float64
+}
+
+func newPoisson(mean float64) poissonDist {
+	return poissonDist{mean: mean, expNeg: math.Exp(-mean)}
+}
+
+func (d poissonDist) draw(rng *rand.Rand) int {
+	if d.mean <= 0 {
 		return 0
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= d.expNeg {
 			return k
 		}
 		k++

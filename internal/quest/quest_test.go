@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+
+	"focus/internal/txn"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -184,13 +186,13 @@ func TestPoissonMean(t *testing.T) {
 	_ = g
 	// Directly exercise the sampler through generation statistics: Poisson
 	// with mean 0 must return 0.
-	if got := poisson(g.rng, 0); got != 0 {
+	if got := newPoisson(0).draw(g.rng); got != 0 {
 		t.Errorf("poisson(0) = %d", got)
 	}
 	sum := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += poisson(g.rng, 5)
+		sum += newPoisson(5).draw(g.rng)
 	}
 	mean := float64(sum) / n
 	if math.Abs(mean-5) > 0.15 {
@@ -244,5 +246,23 @@ func TestGenerateStreamDigest(t *testing.T) {
 				t.Errorf("digest %s, want %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// benchDataset keeps the benchmarked result reachable.
+var benchDataset *txn.Dataset
+
+// BenchmarkQuestGenerate generates one population of the qualify-batch
+// lits pair: 40,000 transactions over 500 items and 1000 patterns of
+// average length 4.
+func BenchmarkQuestGenerate(b *testing.B) {
+	cfg := DefaultConfig(40_000)
+	cfg.NumItems, cfg.NumPatterns, cfg.Seed = 500, 1000, 1
+	for b.Loop() {
+		d, err := Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDataset = d
 	}
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -116,5 +118,52 @@ func TestNullDistributionWorkerOwnedDraws(t *testing.T) {
 				t.Fatalf("parallelism %d: null[%d] = %v, serial %v", p, i, null[i], want[i])
 			}
 		}
+	}
+}
+
+// TestNullDistributionWithFirst: first runs exactly once on the pool, and
+// the distribution is the one NullDistributionP draws, at every worker
+// count (run with -race).
+func TestNullDistributionWithFirst(t *testing.T) {
+	draws := func() func(*rand.Rand) float64 {
+		return func(rng *rand.Rand) float64 { return rng.Float64() }
+	}
+	want := NullDistributionP(17, 1, 5, draws)
+	for _, p := range []int{1, 2, 3, 8} {
+		var runs atomic.Int32
+		got, err := NullDistributionWith(17, p, 5, func() error { runs.Add(1); return nil }, draws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := runs.Load(); n != 1 {
+			t.Fatalf("parallelism %d: first ran %d times", p, n)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("parallelism %d: null %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestNullDistributionWithFailures: a failing first wins over replicate
+// panics, which it explains; a replicate's panic with a successful first
+// is raised again on the caller's goroutine.
+func TestNullDistributionWithFailures(t *testing.T) {
+	errFirst := errors.New("first failed")
+	panicking := func() func(*rand.Rand) float64 {
+		return func(*rand.Rand) float64 { panic("replicate failed") }
+	}
+	for _, p := range []int{1, 2, 3, 8} {
+		null, err := NullDistributionWith(40, p, 1, func() error { return errFirst }, panicking)
+		if err != errFirst || null != nil {
+			t.Fatalf("parallelism %d: (%v, %v), want (nil, %v)", p, null, err, errFirst)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "replicate failed" {
+					t.Errorf("parallelism %d: recovered %v, want the replicate's panic", p, r)
+				}
+			}()
+			NullDistributionWith(40, p, 1, func() error { return nil }, panicking)
+		}()
 	}
 }

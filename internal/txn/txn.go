@@ -297,18 +297,17 @@ func (d *Dataset) Write(w io.Writer) error {
 	if _, err := fmt.Fprintln(bw, d.NumItems); err != nil {
 		return err
 	}
+	var line []byte // one transaction's line, reused
 	for _, t := range d.Txns {
+		line = line[:0]
 		for j, x := range t {
 			if j > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
+				line = append(line, ' ')
 			}
-			if _, err := bw.WriteString(strconv.Itoa(int(x))); err != nil {
-				return err
-			}
+			line = strconv.AppendInt(line, int64(x), 10)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
