@@ -160,7 +160,8 @@ func ablationTxnData(b *testing.B, n int) (*txn.Dataset, *txn.Dataset) {
 	return d1, d2
 }
 
-// Trie-based subset counting vs the brute-force scan (Apriori measure
+// Trie-based subset counting vs the brute-force scan
+// (BenchmarkAblationCountingBrute in internal/apriori; Apriori measure
 // computation; the single-scan GCR extension of Section 3.3.1 rides on it).
 // Forced to the trie backend so the ablation keeps measuring the trie now
 // that the default runs the vertical engine.
@@ -263,19 +264,9 @@ func BenchmarkMineVertical(b *testing.B) {
 	apriori.VerticalIndexOf(d, 0) // build outside the timer; memoized thereafter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := apriori.MineVertical(d, 0.1, 1); err != nil {
+		if _, err := apriori.MineWith(d, 0.1, 1, apriori.CounterBitmap); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkAblationCountingBrute(b *testing.B) {
-	b.ReportAllocs()
-	d, _ := ablationTxnData(b, 5000)
-	sets := randomItemsets(200, 500, 11)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		apriori.CountItemsetsBrute(d, sets)
 	}
 }
 
@@ -427,7 +418,7 @@ func BenchmarkAprioriMine(b *testing.B) {
 	d, _ := ablationTxnData(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := apriori.Mine(d, 0.01); err != nil {
+		if _, err := apriori.MineP(d, 0.01, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

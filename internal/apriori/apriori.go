@@ -27,30 +27,6 @@ func (s Itemset) Key() string {
 	return string(b)
 }
 
-// AppendKey appends the itemset's Key bytes to buf and returns it — the
-// allocation-free form of Key for map probes (a lookup via m[string(buf)]
-// compiles without copying the key).
-func (s Itemset) AppendKey(buf []byte) []byte {
-	for _, it := range s {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(it))
-		buf = append(buf, b[:]...)
-	}
-	return buf
-}
-
-// ParseKey reconstructs an itemset from a key produced by Key.
-func ParseKey(k string) Itemset {
-	if len(k)%4 != 0 {
-		panic(fmt.Sprintf("apriori: malformed itemset key of length %d", len(k)))
-	}
-	s := make(Itemset, len(k)/4)
-	for i := range s {
-		s[i] = txn.Item(binary.BigEndian.Uint32([]byte(k[4*i : 4*i+4])))
-	}
-	return s
-}
-
 // Clone returns a copy of the itemset.
 func (s Itemset) Clone() Itemset {
 	c := make(Itemset, len(s))
@@ -170,38 +146,8 @@ func (f *FrequentSet) sortLex() {
 	f.index = nil
 }
 
-// Source abstracts the dataset access Apriori needs: the pass-1 per-item
-// counts and the support counts of an arbitrary candidate collection. A
-// *txn.Dataset is the obvious source (datasetSource); a windowed monitor
-// supplies a source that sums cached per-batch counts instead of rescanning
-// (internal/stream). Since Apriori's control flow depends only on the
-// integer counts a source returns, two sources returning equal counts mine
-// bit-identical frequent sets.
-type Source interface {
-	// NumTxns returns |D|, the number of transactions.
-	NumTxns() int
-	// NumItems returns the size of the item universe.
-	NumItems() int
-	// ItemCounts returns the absolute per-item support counts (length
-	// NumItems) — Apriori's first pass.
-	ItemCounts() []int
-	// Count returns, for each itemset in sets, the absolute number of
-	// transactions containing it.
-	Count(sets []Itemset) []int
-}
-
-// NewSource adapts a *txn.Dataset to a Source with an explicit
-// parallelism and backend-forcing seam, by returning the vertical
-// execution Engine over it — the seam through which Mine/MineFrom and the
-// streaming window summaries reach the trie or bitmap backend. Both
-// backends return bit-identical counts, so the mined frequent sets are
-// independent of the seam.
-func NewSource(d *txn.Dataset, parallelism int, counter Counter) Source {
-	return NewEngine(d, parallelism, counter)
-}
-
 // horizontalItemCounts is the raw pass-1 scan — per-item occurrence counts
-// by walking the transactions — shared by the trie-backed Source and the
+// by walking the transactions — shared by the trie-side Engine and the
 // vertical-index build (which cannot route through the memoized index it
 // is itself constructing). Per-shard integer vectors merge in shard order,
 // so the counts are identical for every worker count.
@@ -232,18 +178,14 @@ func horizontalItemCounts(d *txn.Dataset, parallelism int) []int {
 	return itemCounts
 }
 
-// Mine runs Apriori over d at the given minimum support (fraction in (0,1])
-// and returns all frequent itemsets with their counts.
-func Mine(d *txn.Dataset, minSupport float64) (*FrequentSet, error) {
-	return MineP(d, minSupport, 1)
-}
-
-// MineP is Mine with a parallelism knob (0 = the process default, 1 = the
-// exact serial path): the per-pass support counting — the dense item
-// counters of pass 1 and the candidate counting of every later pass — and
-// the vertical miner's subtree walk both shard across workers with
-// shard-order merges, so the mined frequent sets are bit-identical to the
-// serial miner for every worker count.
+// MineP runs Apriori over d at the given minimum support (fraction in
+// (0,1]) and returns all frequent itemsets with their counts. Parallelism
+// 0 is the process default and 1 the exact serial path: the per-pass
+// support counting — the dense item counters of pass 1 and the candidate
+// counting of every later pass — and the vertical miner's subtree walk
+// both shard across workers with shard-order merges, so the mined
+// frequent sets are bit-identical to the serial miner for every worker
+// count.
 func MineP(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, error) {
 	return NewEngine(d, parallelism, CounterDefault).Mine(minSupport)
 }
@@ -261,22 +203,16 @@ func minSupportError(minSupport float64) error {
 	return fmt.Errorf("apriori: minimum support %v outside (0,1]", minSupport)
 }
 
-// MineFrom runs levelwise Apriori against an arbitrary count source. The
-// mined set is a pure function of the counts the source returns, so a
-// source that merges cached per-batch counts yields exactly the model a
-// full rescan would.
-func MineFrom(src Source, minSupport float64) (*FrequentSet, error) {
-	if minSupport <= 0 || minSupport > 1 {
-		return nil, minSupportError(minSupport)
-	}
-	out := &FrequentSet{MinSupport: minSupport, N: src.NumTxns()}
-	if src.NumTxns() == 0 {
-		return out, nil
-	}
-	minCount := minCountFor(minSupport, src.NumTxns())
+// mineLevelwise runs levelwise Apriori over the engine's dataset, pass 1
+// from ItemCounts and every later pass through Count: the engine's
+// trie-side miner. The caller has checked minSupport and that the dataset
+// holds transactions.
+func (e *Engine) mineLevelwise(minSupport float64) *FrequentSet {
+	out := &FrequentSet{MinSupport: minSupport, N: e.d.Len()}
+	minCount := minCountFor(minSupport, e.d.Len())
 
 	// Pass 1: frequent items.
-	itemCounts := src.ItemCounts()
+	itemCounts := e.ItemCounts()
 	var level []Itemset
 	var levelCounts []int
 	for it, c := range itemCounts {
@@ -294,7 +230,7 @@ func MineFrom(src Source, minSupport float64) (*FrequentSet, error) {
 		if len(candidates) == 0 {
 			break
 		}
-		counts := src.Count(candidates)
+		counts := e.Count(candidates)
 		var next []Itemset
 		var nextCounts []int
 		for i, c := range counts {
@@ -308,7 +244,7 @@ func MineFrom(src Source, minSupport float64) (*FrequentSet, error) {
 		level = next
 	}
 	out.sortLex()
-	return out, nil
+	return out
 }
 
 // generateCandidates implements the Apriori candidate-generation step: join

@@ -1,6 +1,8 @@
 package apriori
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,7 +30,7 @@ func tinyDataset() *txn.Dataset {
 
 func TestMineTiny(t *testing.T) {
 	// minSupport 0.5 => minCount 3 over 6 txns.
-	fs, err := Mine(tinyDataset(), 0.5)
+	fs, err := MineP(tinyDataset(), 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestMineTiny(t *testing.T) {
 
 func TestMineLowerSupportFindsMore(t *testing.T) {
 	// minSupport 1/6 admits everything with at least one occurrence.
-	fs, err := Mine(tinyDataset(), 1.0/6)
+	fs, err := MineP(tinyDataset(), 1.0/6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +75,13 @@ func TestMineLowerSupportFindsMore(t *testing.T) {
 }
 
 func TestMineValidation(t *testing.T) {
-	if _, err := Mine(tinyDataset(), 0); err == nil {
+	if _, err := MineP(tinyDataset(), 0, 1); err == nil {
 		t.Error("minSupport 0 accepted")
 	}
-	if _, err := Mine(tinyDataset(), 1.5); err == nil {
+	if _, err := MineP(tinyDataset(), 1.5, 1); err == nil {
 		t.Error("minSupport > 1 accepted")
 	}
-	fs, err := Mine(txn.New(5), 0.5)
+	fs, err := MineP(txn.New(5), 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestDownwardClosureProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		d := randomDataset(rng, 60, 8, 5)
-		fs, err := Mine(d, 0.2)
+		fs, err := MineP(d, 0.2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +141,7 @@ func TestMinedSupportsMatchDirectCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		d := randomDataset(rng, 80, 10, 6)
-		fs, err := Mine(d, 0.15)
+		fs, err := MineP(d, 0.15, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +159,7 @@ func TestMineCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := randomDataset(rng, 50, 6, 4)
 	const minSup = 0.2
-	fs, err := Mine(d, minSup)
+	fs, err := MineP(d, minSup, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +213,18 @@ func TestCountItemsetsMatchesBrute(t *testing.T) {
 	}
 }
 
+// ParseKey reconstructs an itemset from a key produced by Key.
+func ParseKey(k string) Itemset {
+	if len(k)%4 != 0 {
+		panic(fmt.Sprintf("apriori: malformed itemset key of length %d", len(k)))
+	}
+	s := make(Itemset, len(k)/4)
+	for i := range s {
+		s[i] = txn.Item(binary.BigEndian.Uint32([]byte(k[4*i : 4*i+4])))
+	}
+	return s
+}
+
 func TestItemsetKeyRoundTrip(t *testing.T) {
 	for _, s := range []Itemset{{}, {1}, {0, 5, 1000000}, {3, 4, 5, 6}} {
 		back := ParseKey(s.Key())
@@ -259,7 +273,7 @@ func TestItemsetString(t *testing.T) {
 }
 
 func TestFrequentSetSupport(t *testing.T) {
-	fs, err := Mine(tinyDataset(), 0.5)
+	fs, err := MineP(tinyDataset(), 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,19 +154,5 @@ func CountItemsetsTrie(d *txn.Dataset, sets []Itemset, parallelism int) []int {
 // pass-1 summary of a windowed monitor: vectors from disjoint batches add
 // (and subtract) into the counts a single scan of their union would produce.
 func ItemCountsP(d *txn.Dataset, parallelism int) []int {
-	return NewSource(d, parallelism, CounterDefault).ItemCounts()
-}
-
-// CountItemsetsBrute is the quadratic reference implementation of
-// CountItemsets, retained for property tests and the ablation benchmark.
-func CountItemsetsBrute(d *txn.Dataset, sets []Itemset) []int {
-	counts := make([]int, len(sets))
-	for _, t := range d.Txns {
-		for i, s := range sets {
-			if t.ContainsAll(s) {
-				counts[i]++
-			}
-		}
-	}
-	return counts
+	return NewEngine(d, parallelism, CounterDefault).ItemCounts()
 }

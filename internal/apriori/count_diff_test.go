@@ -291,6 +291,20 @@ func TestUseVerticalWideUniverse(t *testing.T) {
 	}
 }
 
+// CountItemsetsBrute is the quadratic reference implementation of
+// itemset counting: every itemset against every transaction.
+func CountItemsetsBrute(d *txn.Dataset, sets []Itemset) []int {
+	counts := make([]int, len(sets))
+	for _, t := range d.Txns {
+		for i, s := range sets {
+			if t.ContainsAll(s) {
+				counts[i]++
+			}
+		}
+	}
+	return counts
+}
+
 // TestInvalidCounterPanics pins that a Counter outside the vocabulary —
 // set directly rather than through ParseCounter — fails loudly instead of
 // silently running the trie.
@@ -298,7 +312,7 @@ func TestInvalidCounterPanics(t *testing.T) {
 	d := randomCountDataset(10, 5, 80)
 	cases := map[string]func(){
 		"CountItemsetsC": func() { CountItemsetsC(d, []Itemset{{0}}, 1, "btree") },
-		"NewSource":      func() { NewSource(d, 1, "btree") },
+		"NewEngine":      func() { NewEngine(d, 1, "btree") },
 	}
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -75,7 +75,7 @@ func TestCountItemsetsPEdgeCases(t *testing.T) {
 
 func TestMinePMatchesSerial(t *testing.T) {
 	d := randomCountDataset(1500, 60, 76)
-	serial, err := Mine(d, 0.05)
+	serial, err := MineP(d, 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

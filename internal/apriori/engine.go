@@ -6,19 +6,18 @@ import "focus/internal/txn"
 // makes one decision per dataset (useVertical): the vertical engine —
 // bitmap counting and Eclat-style mining — wherever its index fits in
 // memory, the trie scan and levelwise Apriori only where it does not. An
-// Engine binds one dataset to that decision so mining, GCR candidate
-// counting, and streaming window batch counts all dispatch through one
-// place (Engine.Mine / Engine.Count) instead of each call site re-deriving
-// a backend. Both paths return bit-identical integer counts, so the
+// Engine binds one dataset to that decision so mining, pass 1 and
+// candidate counting dispatch through one place (Engine.Mine,
+// Engine.ItemCounts, Engine.Count) instead of each call re-deriving a
+// backend. Both paths return bit-identical integer counts, so the
 // decision is purely a performance (and memory) choice.
 
 // Engine binds a dataset to the vertical execution engine. It is the
 // single dispatch point of the lits execution path: Mine and Count both
 // follow useVertical, and the pass-1 vector is computed once and shared
-// between them (and with the index build). An Engine implements Source,
-// so levelwise mining and streaming windows consume it directly. An
-// Engine is not safe for concurrent use; the (memoized) vertical index it
-// may build is.
+// between them (and with the index build); the levelwise miner, the
+// trie side, reads both through the engine. An Engine is not safe for
+// concurrent use; the (memoized) vertical index it may build is.
 type Engine struct {
 	d           *txn.Dataset
 	parallelism int
@@ -32,12 +31,6 @@ func NewEngine(d *txn.Dataset, parallelism int, counter Counter) *Engine {
 	MustCounter(counter)
 	return &Engine{d: d, parallelism: parallelism, counter: counter}
 }
-
-// NumTxns returns |D|.
-func (e *Engine) NumTxns() int { return e.d.Len() }
-
-// NumItems returns the size of the item universe.
-func (e *Engine) NumItems() int { return e.d.NumItems }
 
 // ItemCounts returns the absolute per-item support counts (Apriori's first
 // pass), computed once and cached, from the vertical index per useVertical
@@ -84,5 +77,5 @@ func (e *Engine) Mine(minSupport float64) (*FrequentSet, error) {
 		ix := verticalIndexWith(e.d, e.parallelism, e.pass1)
 		return mineVertical(e.d, ix, ix.itemCounts, ix.n, minSupport, e.parallelism)
 	}
-	return MineFrom(e, minSupport)
+	return e.mineLevelwise(minSupport), nil
 }

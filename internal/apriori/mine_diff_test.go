@@ -107,7 +107,7 @@ func TestMineBackendsDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					vert, err := MineVertical(d, ms, p)
+					vert, err := MineWith(d, ms, p, CounterBitmap)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -129,7 +129,7 @@ func TestMineEmptyAndEdgeCases(t *testing.T) {
 		fn   func(*txn.Dataset, float64) (*FrequentSet, error)
 	}{
 		{"trie", func(d *txn.Dataset, ms float64) (*FrequentSet, error) { return MineWith(d, ms, 1, CounterTrie) }},
-		{"vertical", func(d *txn.Dataset, ms float64) (*FrequentSet, error) { return MineVertical(d, ms, 1) }},
+		{"vertical", func(d *txn.Dataset, ms float64) (*FrequentSet, error) { return MineWith(d, ms, 1, CounterBitmap) }},
 	} {
 		t.Run(mine.name, func(t *testing.T) {
 			fs, err := mine.fn(empty, 0.1)
@@ -179,7 +179,7 @@ func FuzzMineBackends(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, p := range []int{1, 3} {
-			got, err := MineVertical(d, minSupport, p)
+			got, err := MineWith(d, minSupport, p, CounterBitmap)
 			if err != nil {
 				t.Fatal(err)
 			}

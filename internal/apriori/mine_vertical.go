@@ -299,12 +299,6 @@ func minCountFor(minSupport float64, n int) int {
 	return minCount
 }
 
-// MineVertical mines d through the vertical engine regardless of the
-// engine's memory cap — bit-identical to Mine/MineWith on any backend.
-func MineVertical(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, error) {
-	return NewEngine(d, parallelism, CounterBitmap).Mine(minSupport)
-}
-
 // mineVertical runs the Eclat/dEclat DFS over d's index ix. itemCounts are
 // the pass-1 supports and n the transaction total. Frequent-item subtrees are sharded across workers;
 // per-shard outputs concatenate in shard order, which is DFS preorder ==

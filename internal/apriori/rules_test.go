@@ -8,7 +8,7 @@ import (
 
 func TestRulesTiny(t *testing.T) {
 	// tinyDataset supports: {0}:5/6, {1}:4/6, {0,1}:3/6.
-	fs, err := Mine(tinyDataset(), 0.5)
+	fs, err := MineP(tinyDataset(), 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRulesTiny(t *testing.T) {
 }
 
 func TestRulesValidation(t *testing.T) {
-	fs, _ := Mine(tinyDataset(), 0.5)
+	fs, _ := MineP(tinyDataset(), 0.5, 1)
 	if _, err := fs.Rules(-0.1); err == nil {
 		t.Error("negative confidence accepted")
 	}
@@ -61,7 +61,7 @@ func TestRulesCorrectnessProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 10; trial++ {
 		d := randomDataset(rng, 80, 8, 5)
-		fs, err := Mine(d, 0.15)
+		fs, err := MineP(d, 0.15, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestRulesCorrectnessProperty(t *testing.T) {
 func TestRulesCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	d := randomDataset(rng, 60, 6, 4)
-	fs, err := Mine(d, 0.2)
+	fs, err := MineP(d, 0.2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

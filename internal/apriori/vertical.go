@@ -124,7 +124,7 @@ func BuildVerticalIndex(d *txn.Dataset, parallelism int) *VerticalIndex {
 }
 
 // buildVerticalIndex is BuildVerticalIndex with an optional precomputed
-// pass-1 vector (nil = compute it here), so a Source that already scanned
+// pass-1 vector (nil = compute it here), so an Engine that already scanned
 // the items does not pay the scan twice. The caller must not mutate a
 // supplied vector afterwards.
 func buildVerticalIndex(d *txn.Dataset, parallelism int, itemCounts []int) *VerticalIndex {

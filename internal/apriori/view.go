@@ -22,7 +22,9 @@ import (
 // is a popcount, which no row order changes, so supports, DFS order and
 // FrequentSets are bit-identical to mining the resample with any backend.
 // An itemset frequent in the other view alone has all its items among the
-// pair's, so View.Count serves it from the same bitmaps.
+// pair's, so View.Count serves it from the same bitmaps. The fill and mine
+// (fillMiner) also serve streaming windows over a universe too wide for
+// the WindowMiner (MineConcat), with every row taken once.
 
 // Pool is a bootstrap pool packed for replicate views: every transaction's
 // item ids, row after row, in one block. A Pool is read-only once built
@@ -117,12 +119,7 @@ type View struct {
 	mult   []int32 // times each pool row was drawn
 	n      int     // rows drawn
 	counts []int   // support of each item in the view
-	slot   []int32 // the pair's item -> bitmap index
-	words  int     // words per bitmap: Words(n)
-	store  bitset.Set
-	pairs  pairTable
-	roots  []vnode
-	miner  *vminer
+	fill   fillMiner
 	acc    bitset.Set // Count's intersection scratch
 }
 
@@ -163,63 +160,109 @@ func (v *View) countItems() {
 // N returns the number of rows drawn.
 func (v *View) N() int { return v.n }
 
-// set returns the bitmap of the pair's item with bitmap index k.
-func (v *View) set(k int32) bitset.Set {
-	return v.store[int(k)*v.words : (int(k)+1)*v.words]
-}
-
 // mine explodes the view into bitmaps of the pair's items (slot maps an
 // item to its bitmap index, slots counts them) and mines it.
 func (v *View) mine(slot []int32, slots, minCount int, minSupport float64) *FrequentSet {
-	n := v.n
-	v.slot = slot
-	// The scratch sets are length-locked: a view keeps its row count across
-	// the replicates of one qualification.
-	if v.miner == nil || bitset.Words(n) != v.words {
-		v.words = bitset.Words(n)
-		v.miner = newVminer(n)
-		v.acc = bitset.New(n)
+	f := &v.fill
+	f.start(v.n, v.counts, slot, slots, minCount)
+	if len(v.acc) != f.words {
+		v.acc = bitset.New(v.n)
 	}
-	v.store = resized(v.store, slots*v.words)
-	roots := v.roots[:0]
-	for it, c := range v.counts {
-		if c >= minCount {
-			roots = append(roots, vnode{item: txn.Item(it), set: v.set(slot[it]), count: c})
-		}
-	}
-	v.roots = roots
-	pt := &v.pairs
-	pt.reset(roots, len(v.counts))
-	pos := 0
 	for t, m := range v.mult {
-		if m == 0 {
-			continue
+		if m > 0 {
+			f.row(v.pool.row(t), m)
 		}
-		// The m copies of row t take bits [pos, end).
-		end := pos + int(m)
-		buf := pt.buf[:0]
-		for _, it := range v.pool.row(t) {
-			if k := slot[it]; k >= 0 {
-				set := v.set(k)
-				for b := pos; b < end; b++ {
-					set[b/64] |= 1 << (b % 64)
-				}
-				if r := pt.rank[it]; r >= 0 {
-					buf = append(buf, r)
-				}
+	}
+	return f.mine(minCount, minSupport)
+}
+
+// fillMiner is the fill kernel shared by bootstrap views and streaming
+// windows over a wide universe: one n-bit bitmap for each slotted item,
+// filled by one pass over rows in which a row of multiplicity m takes the
+// next m bits, plus a pair table keyed by root rank that counts each
+// row's pairs of frequent items once, weighted by m; the unweighted
+// Eclat/dEclat DFS then mines the frequent items over those bitmaps. Its
+// buffers are reused from one mine to the next.
+type fillMiner struct {
+	slot  []int32 // item -> bitmap index, -1 for items without one
+	words int     // words per bitmap: Words(n)
+	store bitset.Set
+	pairs pairTable
+	roots []vnode
+	miner *vminer
+	pos   int // the next row's first bit
+}
+
+// start prepares a fill of n bits whose frequent items are those counted
+// at least minCount in counts (the pass-1 supports over the whole
+// universe). slot maps each item to its bitmap index (slots bitmaps, every
+// frequent item among them); a nil slot gives the frequent items alone a
+// bitmap each, by root rank.
+func (f *fillMiner) start(n int, counts []int, slot []int32, slots, minCount int) {
+	// The scratch sets are length-locked: a view keeps its row count
+	// across the replicates of one qualification.
+	if f.miner == nil || bitset.Words(n) != f.words {
+		f.words = bitset.Words(n)
+		f.miner = newVminer(n)
+	}
+	roots := f.roots[:0]
+	for it, c := range counts {
+		if c >= minCount {
+			roots = append(roots, vnode{item: txn.Item(it), count: c})
+		}
+	}
+	f.roots = roots
+	f.pairs.reset(roots, len(counts))
+	if slot == nil {
+		slot, slots = f.pairs.rank, len(roots)
+	}
+	f.slot = slot
+	f.store = resized(f.store, slots*f.words)
+	for i := range roots {
+		roots[i].set = f.set(slot[roots[i].item])
+	}
+	f.pos = 0
+}
+
+// set returns the bitmap with index k.
+func (f *fillMiner) set(k int32) bitset.Set {
+	return f.store[int(k)*f.words : (int(k)+1)*f.words]
+}
+
+// itemSet returns the bitmap of a slotted item.
+func (f *fillMiner) itemSet(it txn.Item) bitset.Set { return f.set(f.slot[it]) }
+
+// row fills the next m bits with the sorted-unique items of one row and
+// counts its frequent pairs m times.
+func (f *fillMiner) row(items []txn.Item, m int32) {
+	pos, end := f.pos, f.pos+int(m)
+	pt := &f.pairs
+	buf := pt.buf[:0]
+	for _, it := range items {
+		if k := f.slot[it]; k >= 0 {
+			set := f.set(k)
+			for b := pos; b < end; b++ {
+				set[b/64] |= 1 << (b % 64)
+			}
+			if r := pt.rank[it]; r >= 0 {
+				buf = append(buf, r)
 			}
 		}
-		pt.buf = buf
-		pt.add(buf, m)
-		pos = end
 	}
-	out := &FrequentSet{MinSupport: minSupport, N: n}
-	if len(roots) == 0 {
+	pt.buf = buf
+	pt.add(buf, m)
+	f.pos = end
+}
+
+// mine runs the DFS over the filled bitmaps.
+func (f *fillMiner) mine(minCount int, minSupport float64) *FrequentSet {
+	out := &FrequentSet{MinSupport: minSupport, N: f.pos}
+	if len(f.roots) == 0 {
 		return out
 	}
-	m := v.miner
-	m.reset(minCount, pt)
-	m.mineRoots(roots, 0, len(roots))
+	m := f.miner
+	m.reset(minCount, &f.pairs)
+	m.mineRoots(f.roots, 0, len(f.roots))
 	out.Itemsets, out.Counts = m.its, m.counts
 	m.its, m.counts = nil, nil
 	return out
@@ -242,7 +285,7 @@ func (v *View) countOne(s Itemset) int {
 		if int(it) < 0 || int(it) >= len(v.counts) || v.counts[it] == 0 {
 			return 0 // item outside the universe or in no drawn row
 		}
-		if v.slot[it] < 0 {
+		if v.fill.slot[it] < 0 {
 			panic(fmt.Sprintf("apriori: View.Count of item %d, frequent in neither view of the pair", it))
 		}
 	}
@@ -251,14 +294,16 @@ func (v *View) countOne(s Itemset) int {
 		return v.n
 	case 1:
 		return v.counts[s[0]]
-	case 2:
-		return bitset.AndCount(v.set(v.slot[s[0]]), v.set(v.slot[s[1]]))
 	}
-	acc := bitset.AndInto(v.acc, v.set(v.slot[s[0]]), v.set(v.slot[s[1]]))
+	f := &v.fill
+	if len(s) == 2 {
+		return bitset.AndCount(f.itemSet(s[0]), f.itemSet(s[1]))
+	}
+	acc := bitset.AndInto(v.acc, f.itemSet(s[0]), f.itemSet(s[1]))
 	for _, it := range s[2 : len(s)-1] {
-		acc.And(v.set(v.slot[it]))
+		acc.And(f.itemSet(it))
 	}
-	return bitset.AndCount(acc, v.set(v.slot[s[len(s)-1]]))
+	return bitset.AndCount(acc, f.itemSet(s[len(s)-1]))
 }
 
 // UseViewBootstrap reports whether lits bootstrap replicates over the pool

@@ -9,7 +9,7 @@ import (
 
 // checkViewPair draws a replicate pair through vp and through materialized
 // txn.Resample calls from the same seed, and requires each view's mined
-// set to equal MineVertical on its resample, the view's Count of the
+// set to equal vertical mining of its resample, the view's Count of the
 // itemsets frequent in the other view alone to equal trie counting on the
 // resample, and both draws to consume the same RNG stream.
 func checkViewPair(t *testing.T, vp *ViewPair, d *txn.Dataset, seed int64, n1, n2 int, extension bool, minSupport float64) {
@@ -44,7 +44,7 @@ func checkViewPair(t *testing.T, vp *ViewPair, d *txn.Dataset, seed int64, n1, n
 		if s.v.N() != s.r.Len() {
 			t.Fatalf("view %d: N = %d, resample %d", i+1, s.v.N(), s.r.Len())
 		}
-		mined, err := MineVertical(s.r, minSupport, 1)
+		mined, err := MineWith(s.r, minSupport, 1, CounterBitmap)
 		if err != nil {
 			t.Fatal(err)
 		}

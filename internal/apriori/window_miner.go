@@ -32,14 +32,43 @@ type WindowMiner struct {
 
 // windowPairBytes caps the full-universe pair table (numItems²/2 × 4
 // bytes); beyond it the incremental miner is not worth its memory and
-// UseWindowMiner steers callers back to the levelwise source path.
+// UseWindowMiner steers callers to MineConcat.
 const windowPairBytes = 1 << 26
 
 // UseWindowMiner reports whether a streaming lits window over a universe
 // of numItems items should mine through an incremental WindowMiner: yes
-// unless the pair table would be outsized.
+// unless the pair table would be outsized (past about 5,792 items), in
+// which case the window mines its batches through MineConcat.
 func UseWindowMiner(numItems int) bool {
 	return numItems > 0 && int64(numItems)*int64(numItems)*2 <= windowPairBytes
+}
+
+// MineConcat mines the rows of parts, taken in order as one dataset whose
+// pass-1 item counts are itemCounts: the window path where UseWindowMiner
+// refuses the full-universe pair table. One pass over the rows fills a
+// bitmap for each frequent item and a pair table keyed by root rank — the
+// fill kernel of bootstrap views, every row taken once — and the
+// Eclat/dEclat DFS mines them, bit-identical to mining the concatenated
+// dataset with any backend. It keeps no state between calls and builds no
+// per-batch index, so a window over a wide universe holds only its rows
+// and pass-1 counts.
+func MineConcat(parts []*txn.Dataset, itemCounts []int, minSupport float64) (*FrequentSet, error) {
+	if minSupport <= 0 || minSupport > 1 {
+		return nil, minSupportError(minSupport)
+	}
+	n := 0
+	for _, d := range parts {
+		n += d.Len()
+	}
+	minCount := minCountFor(minSupport, n)
+	var f fillMiner
+	f.start(n, itemCounts, nil, 0, minCount)
+	for _, d := range parts {
+		for _, t := range d.Txns {
+			f.row(t, 1)
+		}
+	}
+	return f.mine(minCount, minSupport), nil
 }
 
 // NewWindowMiner returns an empty window miner over a universe of numItems
@@ -66,7 +95,7 @@ func (wm *WindowMiner) addPairs(d *txn.Dataset, sign int32) {
 
 // Push appends a sealed batch to the window, merging its summaries into
 // the aggregates and priming its memoized vertical index (shared with the
-// window's candidate counting).
+// window's GCR counts).
 func (wm *WindowMiner) Push(d *txn.Dataset, parallelism int) {
 	for i, c := range VerticalIndexOf(d, parallelism).ItemCounts() {
 		wm.items[i] += c

@@ -74,3 +74,97 @@ func TestUseWindowMiner(t *testing.T) {
 		t.Fatal("accepted an outsized pair table")
 	}
 }
+
+// FuzzWindowMine slides batches decoded from fuzz bytes through both
+// streaming window paths: a WindowMiner over the narrow universe, and
+// MineConcat over the same rows spread across a universe past
+// UseWindowMiner's cap. Every mine of either path must equal vertical
+// mining of its concatenated window, including after expiry.
+func FuzzWindowMine(f *testing.F) {
+	f.Add(uint8(5), uint8(10), uint8(9), []byte{0, 1, 2, 5, 1, 2, 5, 2, 3, 5, 0, 2, 5, 1})
+	f.Add(uint8(3), uint8(1), uint8(2), []byte{0, 1, 0, 1, 1, 3, 0, 2, 3, 1, 2})
+	f.Add(uint8(12), uint8(30), uint8(27), []byte("the quick brown fox jumps over the lazy dog"))
+	f.Fuzz(func(t *testing.T, nitems, msRaw, shape uint8, txnData []byte) {
+		const wide = 6000
+		if UseWindowMiner(wide) {
+			t.Fatal("the wide universe takes the window miner")
+		}
+		universe := int(nitems)%16 + 1
+		minSupport := (float64(msRaw%100) + 1) / 100
+		batchLen := int(shape)%8 + 1
+		window := int(shape/8)%4 + 1
+		d := decodeFuzzTxns(universe, txnData)
+		// Items spread over the wide universe in the same order, so both
+		// paths mine the same itemsets under different ids.
+		spread := func(tr txn.Transaction) txn.Transaction {
+			out := make(txn.Transaction, len(tr))
+			for i, it := range tr {
+				out[i] = it*(wide/16) + 7
+			}
+			return out
+		}
+		wm := NewWindowMiner(universe)
+		wideItems := make([]int, wide)
+		var live, liveWide []*txn.Dataset
+		check := func(label string, parts []*txn.Dataset, numItems int, got *FrequentSet) {
+			concat := &txn.Dataset{NumItems: numItems}
+			for _, p := range parts {
+				concat.Txns = append(concat.Txns, p.Txns...)
+			}
+			want, err := MineWith(concat, minSupport, 1, CounterBitmap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameMine(t, label, want, got)
+		}
+		addItems := func(b *txn.Dataset, sign int) {
+			for i, c := range ItemCountsP(b, 1) {
+				wideItems[i] += sign * c
+			}
+		}
+		for lo := 0; lo < d.Len(); lo += batchLen {
+			narrowB := &txn.Dataset{NumItems: universe, Txns: d.Txns[lo:min(lo+batchLen, d.Len())]}
+			wideB := &txn.Dataset{NumItems: wide}
+			for _, tr := range narrowB.Txns {
+				wideB.Txns = append(wideB.Txns, spread(tr))
+			}
+			wm.Push(narrowB, 1)
+			addItems(wideB, 1)
+			live, liveWide = append(live, narrowB), append(liveWide, wideB)
+			if len(live) > window {
+				wm.Pop()
+				addItems(liveWide[0], -1)
+				live, liveWide = live[1:], liveWide[1:]
+			}
+			got, err := wm.Mine(minSupport)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("window miner", live, universe, got)
+			got, err = MineConcat(liveWide, wideItems, minSupport)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("MineConcat", liveWide, wide, got)
+		}
+	})
+}
+
+// MineConcat over no rows mines an empty frequent set, and it refuses a
+// support outside (0,1] like every miner.
+func TestMineConcatEdges(t *testing.T) {
+	for _, parts := range [][]*txn.Dataset{nil, {txn.New(8)}} {
+		fs, err := MineConcat(parts, make([]int, 8), 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs.Len() != 0 || fs.N != 0 || fs.MinSupport != 0.1 {
+			t.Fatalf("%d empty parts mined to %d itemsets, N=%d, support %v", len(parts), fs.Len(), fs.N, fs.MinSupport)
+		}
+	}
+	for _, ms := range []float64{0, 1.5} {
+		if _, err := MineConcat(nil, nil, ms); err == nil {
+			t.Errorf("minSupport %v accepted", ms)
+		}
+	}
+}

@@ -10,17 +10,20 @@ import (
 
 // litsClass is the lits-model instantiation of ModelClass (Section 2.2):
 // regions are frequent itemsets, the GCR is the itemset-set union, and the
-// mergeable streaming summary is the per-batch itemset support count.
+// mergeable streaming summary is the per-batch item count vector.
 type litsClass struct {
 	minSupport float64
 }
 
 // Lits returns the lits-model class instance mining frequent itemsets at
-// the given minimum support. Every scan the class performs — mining, GCR
-// measurement, bootstrap replicates, and the per-batch counts of streaming
-// windows — runs the vertical engine wherever it fits in memory and the
-// trie/levelwise path only where it does not; models, deviations and
-// reports are bit-identical either way.
+// the given minimum support. Mining, GCR measurement and the streaming
+// windows' batch counts run the vertical engine wherever it fits in memory
+// and the trie/levelwise path only where it does not; bootstrap
+// replicates mine exploded view pairs and windows mine through their
+// WindowMiner (or, over a wide universe, the view's fill kernel). The GCR
+// takes each frequent itemset's support from the model that mined it and
+// counts only the rest. Models, deviations and reports are bit-identical
+// on every path.
 func Lits(minSupport float64) ModelClass[*txn.Dataset, *LitsModel] {
 	return litsClass{minSupport: minSupport}
 }
@@ -90,18 +93,18 @@ func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (func() replicat
 			}
 			gcr := newLitsGCR(fs1, fs2)
 			gcr.focus(keep)
-			c1 := minedCounts(&p.V1, fs1, gcr.sets, gcr.at1)
-			c2 := minedCounts(&p.V2, fs2, gcr.sets, gcr.at2)
+			c1 := minedCounts(fs1, gcr.sets, gcr.at1, p.V1.Count)
+			c2 := minedCounts(fs2, gcr.sets, gcr.at2, p.V2.Count)
 			return Deviation1(countRegions(c1, c2), float64(p.V1.N()), float64(p.V2.N()), f, g)
 		}
 	}, true
 }
 
-// minedCounts returns the support under v of each GCR itemset, where fs was
-// mined from v and at gives each itemset's index in fs (-1 when not
-// frequent there): a frequent itemset's mined count is its support, so only
-// the others are counted through v.
-func minedCounts(v *apriori.View, fs *apriori.FrequentSet, sets []apriori.Itemset, at []int) []int {
+// minedCounts returns the support of each GCR itemset on the data fs was
+// mined from, where at gives each itemset's index in fs (-1 when not
+// frequent there): a frequent itemset's mined count is its support, so
+// only the others are counted, through count.
+func minedCounts(fs *apriori.FrequentSet, sets []apriori.Itemset, at []int, count func([]apriori.Itemset) []int) []int {
 	counts := make([]int, len(sets))
 	var rest []apriori.Itemset
 	var restAt []int
@@ -113,8 +116,10 @@ func minedCounts(v *apriori.View, fs *apriori.FrequentSet, sets []apriori.Itemse
 			restAt = append(restAt, i)
 		}
 	}
-	for k, c := range v.Count(rest) {
-		counts[restAt[k]] = c
+	if len(rest) > 0 {
+		for k, c := range count(rest) {
+			counts[restAt[k]] = c
+		}
 	}
 	return counts
 }
@@ -123,13 +128,12 @@ func (c litsClass) NewWindow(parallelism int) (Window[*txn.Dataset, *LitsModel],
 	if c.minSupport <= 0 || c.minSupport > 1 {
 		return nil, fmt.Errorf("core: minimum support %v outside (0,1]", c.minSupport)
 	}
-	return &litsWindow{
-		minSupport:  c.minSupport,
-		parallelism: parallelism,
-		intern:      newInternTable(),
-	}, nil
+	return &litsWindow{minSupport: c.minSupport, parallelism: parallelism}, nil
 }
 
+// MeasureGCRWindows takes the support of each GCR itemset frequent in a
+// window from that window's model and counts only the itemsets frequent
+// in the other window alone, batch by batch.
 func (litsClass) MeasureGCRWindows(m1, m2 *LitsModel, w1, w2 Window[*txn.Dataset, *LitsModel]) ([]MeasuredRegion, error) {
 	lw1, ok1 := w1.(*litsWindow)
 	lw2, ok2 := w2.(*litsWindow)
@@ -139,95 +143,40 @@ func (litsClass) MeasureGCRWindows(m1, m2 *LitsModel, w1, w2 Window[*txn.Dataset
 	if lw1.numItems != lw2.numItems {
 		return nil, fmt.Errorf("core: datasets have different item universes (%d vs %d)", lw1.numItems, lw2.numItems)
 	}
+	if m1.FS.N != lw1.n || m2.FS.N != lw2.n {
+		return nil, fmt.Errorf("core: lits models of %d and %d transactions measured over windows of %d and %d", m1.FS.N, m2.FS.N, lw1.n, lw2.n)
+	}
 	gcr := newLitsGCR(m1.FS, m2.FS)
-	return countRegions(lw1.Count(gcr.sets), lw2.Count(gcr.sets)), nil
+	c1 := minedCounts(m1.FS, gcr.sets, gcr.at1, lw1.count)
+	c2 := minedCounts(m2.FS, gcr.sets, gcr.at2, lw2.count)
+	return countRegions(c1, c2), nil
 }
 
-// internTable assigns dense ids to itemsets, shared by every window of one
-// monitor (live, snapshots, pinned reference). Interning pays one string
-// lookup per itemset per Count call — alloc-free in steady state, since
-// the probe key is appended into a reused buffer and only a fresh insert
-// materializes the string — and the per-batch caches are then flat slices
-// indexed by id, so serving a cached count costs a slice read, not a map
-// access per (itemset, batch) pair. The table grows with the distinct
-// candidate itemsets ever counted — bounded in practice by the stable
-// candidate population of the stream.
-type internTable struct {
-	ids  map[string]int
-	sets []apriori.Itemset // reverse table: id -> itemset
-	key  []byte            // probe-key scratch
-}
-
-func newInternTable() *internTable { return &internTable{ids: make(map[string]int)} }
-
-func (t *internTable) idOf(s apriori.Itemset) int {
-	t.key = s.AppendKey(t.key[:0])
-	if id, ok := t.ids[string(t.key)]; ok {
-		return id
-	}
-	id := len(t.sets)
-	t.ids[string(t.key)] = id
-	t.sets = append(t.sets, s)
-	return id
-}
-
-// litsBatch is the sealed summary of one batch of transactions: the raw
-// transactions (retained so itemsets first seen in later windows can still
-// be counted), the mergeable pass-1 item-count vector, and a cache of
-// absolute support counts per interned itemset already counted in this
-// batch (-1 = not yet counted). The cache is what makes window advance
-// incremental — a stable candidate set never rescans a retained batch.
+// litsBatch is the sealed summary of one batch of transactions: its rows,
+// retained to be mined and counted through the window, and its mergeable
+// pass-1 item-count vector.
 type litsBatch struct {
-	data   *txn.Dataset
-	items  []int
-	counts []int // by interned id; -1 marks uncounted
+	data  *txn.Dataset
+	items []int
 }
 
-// grow extends the cache to cover ids below n, marking new slots uncounted.
-func (b *litsBatch) grow(n int) {
-	if len(b.counts) >= n {
-		return
-	}
-	grown := make([]int, n)
-	copy(grown, b.counts)
-	for i := len(b.counts); i < n; i++ {
-		grown[i] = -1
-	}
-	b.counts = grown
-}
-
-// litsWindow is a set of batches exposed to Apriori as a count source:
-// pass-1 item counts are maintained incrementally (add on ingest, subtract
-// on expiry), and so are full candidate counts — an itemset counted once
-// across every live batch becomes "warm": its window total lives in agg,
-// Add merges only the new batch's delta in, RemoveFront subtracts the
-// expired batch's cached count out, and Count serves it as a slice read
-// without touching the batches at all. Cold itemsets fall back to per-
-// batch sums served from the batch caches, scanning a batch only for
-// itemsets it has not counted before. Counts are integers, so the sums —
-// and everything induced from them — are identical to a full rescan of the
-// window. The item universe is fixed by the first batch added anywhere in
-// the window's clone family.
+// litsWindow is a set of sealed batches and their summed pass-1 counts.
+// It mines through its apriori.WindowMiner, which adds each batch's item
+// and pair counts on Add and subtracts them on RemoveFront, or, over a
+// universe whose full-universe pair table apriori.UseWindowMiner refuses,
+// through apriori.MineConcat over its batches. It keeps no per-itemset
+// state: MeasureGCRWindows takes the supports of the window's frequent
+// itemsets from its model and counts the rest in each batch. Counts are
+// integers, so everything induced from them is identical to a full
+// rescan of the window. The item universe is fixed by the first batch.
 type litsWindow struct {
 	minSupport  float64
 	numItems    int
 	parallelism int
-	intern      *internTable
 	batchList   []*litsBatch
 	items       []int
 	n           int
-	agg         []int  // by id: window-total counts of warm itemsets
-	aggOK       []bool // by id: agg holds the total over every live batch
-	idBuf       []int  // per-Count interned-id scratch
 	wmine       *apriori.WindowMiner
-}
-
-// growAgg extends the aggregate to cover ids below n.
-func (w *litsWindow) growAgg(n int) {
-	for len(w.agg) < n {
-		w.agg = append(w.agg, 0)
-		w.aggOK = append(w.aggOK, false)
-	}
 }
 
 func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
@@ -241,25 +190,6 @@ func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
 		return fmt.Errorf("core: batch universe %d != window universe %d", d.NumItems, w.numItems)
 	}
 	b := &litsBatch{data: d, items: apriori.ItemCountsP(d, parallelism)}
-	// Delta-merge: count the warm itemsets in the new batch alone and fold
-	// them into the aggregate, preserving the invariant that a warm itemset
-	// is cached in every live batch (RemoveFront subtracts from the cache).
-	var warm []apriori.Itemset
-	var warmIDs []int
-	for id, ok := range w.aggOK {
-		if ok {
-			warm = append(warm, w.intern.sets[id])
-			warmIDs = append(warmIDs, id)
-		}
-	}
-	if len(warm) > 0 {
-		b.grow(len(w.intern.sets))
-		counts := apriori.CountItemsetsP(d, warm, parallelism)
-		for j, c := range counts {
-			b.counts[warmIDs[j]] = c
-			w.agg[warmIDs[j]] += c
-		}
-	}
 	w.batchList = append(w.batchList, b)
 	for i, v := range b.items {
 		w.items[i] += v
@@ -277,11 +207,6 @@ func (w *litsWindow) RemoveFront() {
 	w.batchList = w.batchList[1:]
 	for i, v := range b.items {
 		w.items[i] -= v
-	}
-	for id, ok := range w.aggOK {
-		if ok {
-			w.agg[id] -= b.counts[id]
-		}
 	}
 	w.n -= b.data.Len()
 	if w.wmine != nil {
@@ -303,110 +228,57 @@ func (w *litsWindow) Data() *txn.Dataset {
 	return out
 }
 
-// Clone returns a snapshot sharing the (immutable) batch summaries and the
-// intern table, so counts cached through either window stay valid for
-// both.
+// Clone returns a snapshot sharing the (immutable) batch summaries.
 func (w *litsWindow) Clone() Window[*txn.Dataset, *LitsModel] {
 	return &litsWindow{
 		minSupport:  w.minSupport,
 		numItems:    w.numItems,
 		parallelism: w.parallelism,
-		intern:      w.intern,
 		batchList:   append([]*litsBatch(nil), w.batchList...),
 		items:       append([]int(nil), w.items...),
 		n:           w.n,
-		agg:         append([]int(nil), w.agg...),
-		aggOK:       append([]bool(nil), w.aggOK...),
 	}
 }
 
 // Induce mines the window. Windows that actually mine — the live window,
 // every emission — build an incremental apriori.WindowMiner on first use
 // and keep it in sync through Add/RemoveFront; clones start without one
-// (snapshot references are counted against, not re-mined), and a universe
-// whose pair table would be outsized falls back to levelwise mining
-// through the window's count source. Both paths produce bit-identical
-// models.
+// (a snapshot reference is mined once, then only counted against). A
+// universe whose pair table would be outsized mines the batches through
+// apriori.MineConcat instead. Both paths produce bit-identical models.
 func (w *litsWindow) Induce() (*LitsModel, error) {
-	if w.wmine == nil && len(w.batchList) > 0 && apriori.UseWindowMiner(w.numItems) {
-		wm := apriori.NewWindowMiner(w.numItems)
-		for _, b := range w.batchList {
-			wm.Push(b.data, w.parallelism)
+	var fs *apriori.FrequentSet
+	var err error
+	if apriori.UseWindowMiner(w.numItems) {
+		if w.wmine == nil {
+			w.wmine = apriori.NewWindowMiner(w.numItems)
+			for _, b := range w.batchList {
+				w.wmine.Push(b.data, w.parallelism)
+			}
 		}
-		w.wmine = wm
-	}
-	if w.wmine != nil {
-		fs, err := w.wmine.Mine(w.minSupport)
-		if err != nil {
-			return nil, err
+		fs, err = w.wmine.Mine(w.minSupport)
+	} else {
+		parts := make([]*txn.Dataset, len(w.batchList))
+		for i, b := range w.batchList {
+			parts[i] = b.data
 		}
-		return &LitsModel{FS: fs}, nil
+		fs, err = apriori.MineConcat(parts, w.items, w.minSupport)
 	}
-	fs, err := apriori.MineFrom(w, w.minSupport)
 	if err != nil {
 		return nil, err
 	}
 	return &LitsModel{FS: fs}, nil
 }
 
-// litsWindow implements apriori.Source.
-
-func (w *litsWindow) NumTxns() int      { return w.n }
-func (w *litsWindow) NumItems() int     { return w.numItems }
-func (w *litsWindow) ItemCounts() []int { return w.items }
-
-func (w *litsWindow) Count(sets []apriori.Itemset) []int {
+// count returns the supports of sets over the window: the sum of their
+// supports in each live batch, each counted by the engine's one decision
+// (through the batch's memoized index wherever it runs vertically).
+func (w *litsWindow) count(sets []apriori.Itemset) []int {
 	total := make([]int, len(sets))
-	if len(sets) == 0 {
-		return total
-	}
-	if cap(w.idBuf) < len(sets) {
-		w.idBuf = make([]int, len(sets))
-	}
-	ids := w.idBuf[:len(sets)]
-	for i, s := range sets {
-		ids[i] = w.intern.idOf(s)
-	}
-	w.growAgg(len(w.intern.sets))
-	var coldIdx []int
-	for i, id := range ids {
-		if w.aggOK[id] {
-			total[i] = w.agg[id]
-		} else {
-			coldIdx = append(coldIdx, i)
-		}
-	}
 	for _, b := range w.batchList {
-		if len(coldIdx) == 0 {
-			break
+		for i, c := range apriori.CountItemsetsP(b.data, sets, w.parallelism) {
+			total[i] += c
 		}
-		b.grow(len(w.intern.sets))
-		var missing []apriori.Itemset
-		var missingIdx []int
-		for _, i := range coldIdx {
-			if c := b.counts[ids[i]]; c >= 0 {
-				total[i] += c
-			} else {
-				missing = append(missing, sets[i])
-				missingIdx = append(missingIdx, i)
-			}
-		}
-		if len(missing) > 0 {
-			// The batch datasets are sealed, so a memoized per-batch
-			// vertical index persists across window advances.
-			counts := apriori.CountItemsetsP(b.data, missing, w.parallelism)
-			for j, c := range counts {
-				i := missingIdx[j]
-				b.counts[ids[i]] = c
-				total[i] += c
-			}
-		}
-	}
-	// Every cold itemset is now cached in every live batch: warm it, so the
-	// next Count is a slice read and window advance only merges deltas.
-	for _, i := range coldIdx {
-		w.agg[ids[i]] = total[i]
-		w.aggOK[ids[i]] = true
 	}
 	return total
 }

@@ -132,7 +132,7 @@ func TestMinedCountsMatchViewCount(t *testing.T) {
 			if side == 1 {
 				fs, at = fs2, gcr.at2
 			}
-			got := minedCounts(v, fs, gcr.sets, at)
+			got := minedCounts(fs, gcr.sets, at, v.Count)
 			want := v.Count(gcr.sets)
 			for i := range want {
 				if got[i] != want[i] {

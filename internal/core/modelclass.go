@@ -58,8 +58,11 @@ type ModelClass[D, M any] interface {
 	NewWindow(parallelism int) (Window[D, M], error)
 
 	// MeasureGCRWindows is MeasureGCR computed from two windows' mergeable
-	// summaries instead of raw dataset scans. The regions must be
-	// bit-identical to MeasureGCR over the windows' concatenated data.
+	// summaries instead of raw dataset scans. m1 and m2 are the models
+	// w1.Induce() and w2.Induce() returned for the windows as they are, so
+	// a class may take measures from them instead of re-counting. The
+	// regions must be bit-identical to MeasureGCR over the windows'
+	// concatenated data.
 	MeasureGCRWindows(m1, m2 M, w1, w2 Window[D, M]) ([]MeasuredRegion, error)
 }
 

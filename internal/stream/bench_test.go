@@ -8,7 +8,7 @@ import (
 )
 
 // The benchmarks compare one window advance through the incremental
-// monitor (cached per-batch summaries; only the new batch is scanned)
+// monitor (mergeable per-batch summaries; only the new batch is scanned)
 // against rebuilding the window's model from its raw batches — the
 // ablation that justifies the summary/merge layer.
 

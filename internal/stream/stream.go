@@ -6,9 +6,10 @@
 //
 // The monitor is written once, generically, against the core.ModelClass
 // abstraction: batches are sealed into mergeable count summaries by the
-// class's Window (per-batch itemset support counts for lits-models,
-// per-cell class counts over a pinned tree for dt-models, grid-cell counts
-// for cluster-models), a window advance subtracts the expired batch's
+// class's Window (per-batch item counts, mined through an incremental
+// item- and pair-count miner, for lits-models; per-cell class counts over
+// a pinned tree for dt-models; grid-cell counts for cluster-models), a
+// window advance subtracts the expired batch's
 // summary and adds the new one instead of rescanning retained batches, and
 // every advance emits the deviation of the current window against a pinned
 // reference model (or against the previous window), optionally
@@ -121,9 +122,8 @@ func New[D, M any](mc core.ModelClass[D, M], ref D, opts Options) (*Monitor[D, M
 	}
 	m := &Monitor[D, M]{opts: o, mc: mc, live: live}
 	if !isNilRef(ref) {
-		// The reference window is a clone of the (empty) live window so the
-		// two share any sealed-summary bookkeeping (e.g. the lits intern
-		// table).
+		// The reference window is a clone of the still-empty live window:
+		// a window of the same class and configuration.
 		rw := live.Clone()
 		if err := rw.Add(ref, o.Parallelism); err != nil {
 			return nil, fmt.Errorf("stream: invalid reference: %w", err)
@@ -465,8 +465,8 @@ func (m *Monitor[D, M]) RestoreState(st MonitorState[D]) error {
 		if !m.opts.PreviousWindow {
 			return errors.New("stream: promoted reference state for a pinned-reference monitor")
 		}
-		// Mirror New: clone the still-empty live window so the reference
-		// shares its sealed-summary bookkeeping.
+		// Mirror New: the reference is a clone of the still-empty live
+		// window.
 		rw := m.live.Clone()
 		if err := rw.Add(st.RefData, m.opts.Parallelism); err != nil {
 			return fmt.Errorf("stream: restoring reference window: %w", err)

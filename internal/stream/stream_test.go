@@ -267,17 +267,18 @@ func hotTxnBatches(seed int64, batches, size int) [][]txn.Transaction {
 // TestLitsWindowPathsEquivalent runs one lits batch stream under two item
 // universes: 64 items, whose windows mine through the incremental
 // apriori.WindowMiner, and 6,000 items, whose full-universe pair table
-// the engine refuses, so windows mine levelwise through their count
-// source. No transaction names an item past 63, so both monitors must
-// report identically — deviations, region counts, alerts and
-// qualifications — under every window policy, f/g and parallelism.
+// the engine refuses, so windows mine their batches through the fill
+// kernel of bootstrap views (apriori.MineConcat). No transaction names an
+// item past 63, so both monitors must report identically — deviations,
+// region counts, alerts and qualifications — under every window policy,
+// f/g and parallelism.
 func TestLitsWindowPathsEquivalent(t *testing.T) {
 	const (
 		narrow, wide = 64, 6000
 		minSupport   = 0.05
 	)
 	if !apriori.UseWindowMiner(narrow) || apriori.UseWindowMiner(wide) {
-		t.Fatal("the two universes no longer take the window miner and the levelwise path")
+		t.Fatal("the two universes no longer take the window miner and the fill kernel")
 	}
 	batches := hotTxnBatches(21, 7, 60)
 	refTxns := hotTxnBatches(22, 1, 180)[0]
@@ -311,7 +312,7 @@ func TestLitsWindowPathsEquivalent(t *testing.T) {
 						reps = append(reps, rep)
 					}
 					if !reflect.DeepEqual(reps[0], reps[1]) {
-						t.Fatalf("%s: ingest %d: window miner report %+v != levelwise %+v", name, i, reps[0], reps[1])
+						t.Fatalf("%s: ingest %d: window miner report %+v != fill kernel %+v", name, i, reps[0], reps[1])
 					}
 					if reps[0] == nil {
 						continue
@@ -423,6 +424,69 @@ func TestExpiredBatchesReleased(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(mon)
+}
+
+// TestLitsIngestAllocFlat pins that a lits window keeps no state that
+// grows with the itemsets a stream has ever produced: over a 500-item
+// stream whose hot items drift, the bytes one Ingest allocates late in the
+// stream stay within twice those early on, while the window and its
+// models keep the same shape.
+func TestLitsIngestAllocFlat(t *testing.T) {
+	const (
+		numItems = 500
+		rows     = 128
+		early    = 100
+		late     = 1500
+		samples  = 20
+	)
+	rng := rand.New(rand.NewSource(31))
+	batch := func(feed int) *txn.Dataset {
+		hot := feed / 4 % (numItems - 20)
+		d := &txn.Dataset{NumItems: numItems, Txns: make([]txn.Transaction, rows)}
+		for i := range d.Txns {
+			tr := make(txn.Transaction, 3+rng.Intn(6))
+			for j := range tr {
+				if rng.Intn(6) == 0 {
+					tr[j] = txn.Item(rng.Intn(numItems))
+				} else {
+					tr[j] = txn.Item(hot + rng.Intn(20))
+				}
+			}
+			d.Txns[i] = tr.Normalize()
+		}
+		return d
+	}
+	mon, err := New(core.Lits(0.02), batch(0), Options{WindowBatches: 4, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	var alloc [2]uint64
+	for feed := 1; feed < late+samples; feed++ {
+		d := batch(feed)
+		phase := -1
+		switch {
+		case feed >= early && feed < early+samples:
+			phase = 0
+		case feed >= late:
+			phase = 1
+		}
+		if phase >= 0 {
+			runtime.ReadMemStats(&ms)
+			alloc[phase] -= ms.TotalAlloc
+		}
+		if _, err := mon.Ingest(d); err != nil {
+			t.Fatalf("ingest %d: %v", feed, err)
+		}
+		if phase >= 0 {
+			runtime.ReadMemStats(&ms)
+			alloc[phase] += ms.TotalAlloc
+		}
+	}
+	t.Logf("bytes per ingest: %d near feed %d, %d near feed %d", alloc[0]/samples, early, alloc[1]/samples, late)
+	if alloc[1] > 2*alloc[0] {
+		t.Errorf("an ingest near feed %d allocated %d bytes, more than twice the %d near feed %d", late, alloc[1]/samples, alloc[0]/samples, early)
+	}
 }
 
 // TestDTMonitorEquivalence: same contract for dt-models over a pinned
