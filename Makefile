@@ -5,7 +5,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test race vet lint api apicheck bench ci
+.PHONY: build test race vet lint api apicheck perfbench bench ci
 
 build:
 	go build ./...
@@ -41,6 +41,13 @@ apicheck:
 	go doc -all . | diff -u api/focus.txt - || (echo "public API drifted: run 'make api' and commit api/focus.txt" && exit 1)
 	! grep -n 'Deprecated:' api/focus.txt || (echo "public API keeps deprecated symbols: delete them instead" && exit 1)
 
+# perfbench builds, vets and tests the benchmark module (perfbench/go.mod).
+# It compiles against internal APIs (the model-class windows,
+# serve.OpenRegistry, ...) that the root ./... never builds, so an API
+# change that breaks it fails here rather than only in CI.
+perfbench:
+	cd perfbench && go build ./... && go vet ./... && go test ./...
+
 # bench runs every benchmark once with memory stats and distills the
 # machine-readable trajectory BENCH_focus.json (package-qualified name ->
 # ns/op, B/op, allocs/op). The CI bench-delta step uploads the file as an
@@ -73,4 +80,4 @@ bench:
 	@rm -f bench.out
 	@echo "wrote BENCH_focus.json"
 
-ci: build vet lint test apicheck
+ci: build vet lint test apicheck perfbench

@@ -218,8 +218,10 @@ type (
 	// a new model class into Deviation, Qualify, RankRegions and
 	// NewMonitor.
 	ModelClass[D, M any] = core.ModelClass[D, M]
-	// ModelWindow is the streaming half of a ModelClass: an incrementally
-	// maintained aggregate of sealed batch summaries.
+	// ModelWindow is the streaming half of a ModelClass, one type for
+	// every class: the live batches, each batch's count summary, their sum
+	// and the row total, kept incrementally as batches enter and leave. A
+	// class builds its windows with NewModelWindow.
 	ModelWindow[D, M any] = core.Window[D, M]
 	// MeasuredRegion is one GCR region's absolute measures in the two
 	// datasets.
@@ -232,6 +234,16 @@ type (
 	// RankedGCRRegion is one row of RankRegions.
 	RankedGCRRegion = core.RankedGCRRegion
 )
+
+// NewModelWindow returns an empty window of class mc, for mc's NewWindow.
+// summarize validates a batch and returns its count vector over the
+// class's fixed cells; every batch of a window must yield a vector of one
+// length and Concat with the others. induce induces the window's model
+// from the window alone (its Counts and N), bit-identical to mc.Induce
+// over its Data.
+func NewModelWindow[D, M any](mc ModelClass[D, M], parallelism int, summarize func(d D, parallelism int) ([]int, error), induce func(w *ModelWindow[D, M]) (M, error)) *ModelWindow[D, M] {
+	return core.NewWindow(mc, parallelism, summarize, induce)
+}
 
 // Lits returns the lits-model class: frequent itemsets mined by Apriori at
 // the given minimum support (Section 2.2).

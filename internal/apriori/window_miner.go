@@ -5,23 +5,20 @@ import (
 	"focus/internal/txn"
 )
 
-// WindowMiner is the vertical engine's streaming form: the mining state of
+// WindowMiner is the vertical engine's streaming form: the pair counts of
 // a sliding window of sealed batches, maintained incrementally. Push folds
-// a batch's pass-1 item counts and its full-universe pair counts into the
-// window aggregates; Pop subtracts the expired batch's. A mine then starts
-// two levels deep for free — roots come from the aggregated item counts,
-// level-2 supports from the aggregated pair counts — and only the deeper
-// DFS touches bitsets, over a window tid-bitmap concatenated from the
-// batches' memoized per-batch indexes (a word-shift copy, never a
-// transaction rescan). Counts are exact integers, so the mined FrequentSet
-// is bit-identical to mining the window's concatenated dataset with any
-// backend. A WindowMiner is not safe for concurrent use.
+// a batch's full-universe pair counts into the window aggregate; Pop
+// subtracts the expired batch's. The window itself — its batches and
+// their summed pass-1 item counts — belongs to the caller and is handed to
+// Mine, which starts two levels deep for free: roots come from the item
+// counts, level-2 supports from the aggregated pair counts, and only the
+// deeper DFS touches bitsets, over a window tid-bitmap concatenated from
+// the batches' memoized per-batch indexes (a word-shift copy, never a
+// transaction rescan). Counts are exact integers, so the mined
+// FrequentSet is bit-identical to mining the window's concatenated dataset
+// with any backend. A WindowMiner is not safe for concurrent use.
 type WindowMiner struct {
-	numItems int
-	parts    []*txn.Dataset
-	items    []int     // aggregated pass-1 counts
-	pairs    pairTable // aggregated full-universe pair counts, keyed by item
-	n        int
+	pairs pairTable // aggregated full-universe pair counts, keyed by item
 
 	combined []bitset.Set // per-item window bitmaps (rebuilt per mine)
 	words    int          // words per combined bitmap
@@ -44,14 +41,14 @@ func UseWindowMiner(numItems int) bool {
 }
 
 // MineConcat mines the rows of parts, taken in order as one dataset whose
-// pass-1 item counts are itemCounts: the window path where UseWindowMiner
-// refuses the full-universe pair table. One pass over the rows fills a
+// pass-1 item counts are itemCounts: the path of a window that keeps no
+// WindowMiner — one over a universe where UseWindowMiner refuses the
+// full-universe pair table, or a snapshot that never advances. One pass over the rows fills a
 // bitmap for each frequent item and a pair table keyed by root rank — the
 // fill kernel of bootstrap views, every row taken once — and the
 // Eclat/dEclat DFS mines them, bit-identical to mining the concatenated
 // dataset with any backend. It keeps no state between calls and builds no
-// per-batch index, so a window over a wide universe holds only its rows
-// and pass-1 counts.
+// per-batch index, so such a window holds only its rows and pass-1 counts.
 func MineConcat(parts []*txn.Dataset, itemCounts []int, minSupport float64) (*FrequentSet, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, minSupportError(minSupport)
@@ -75,8 +72,6 @@ func MineConcat(parts []*txn.Dataset, itemCounts []int, minSupport float64) (*Fr
 // items.
 func NewWindowMiner(numItems int) *WindowMiner {
 	return &WindowMiner{
-		numItems: numItems,
-		items:    make([]int, numItems),
 		pairs: pairTable{
 			side:   numItems,
 			byItem: true,
@@ -93,41 +88,21 @@ func (wm *WindowMiner) addPairs(d *txn.Dataset, sign int32) {
 	}
 }
 
-// Push appends a sealed batch to the window, merging its summaries into
-// the aggregates and priming its memoized vertical index (shared with the
-// window's GCR counts).
+// Push adds a sealed batch's pair counts to the window and primes its
+// memoized vertical index (shared with the window's GCR counts).
 func (wm *WindowMiner) Push(d *txn.Dataset, parallelism int) {
-	for i, c := range VerticalIndexOf(d, parallelism).ItemCounts() {
-		wm.items[i] += c
-	}
+	VerticalIndexOf(d, parallelism)
 	wm.addPairs(d, 1)
-	wm.parts = append(wm.parts, d)
-	wm.n += d.Len()
 }
 
-// Pop expires the oldest batch, subtracting its summaries.
-func (wm *WindowMiner) Pop() {
-	d := wm.parts[0]
-	wm.parts[0] = nil
-	wm.parts = wm.parts[1:]
-	for i, c := range VerticalIndexOf(d, 1).ItemCounts() {
-		wm.items[i] -= c
-	}
-	wm.addPairs(d, -1)
-	wm.n -= d.Len()
-}
+// Pop subtracts an expired batch's pair counts.
+func (wm *WindowMiner) Pop(d *txn.Dataset) { wm.addPairs(d, -1) }
 
-// N returns the number of transactions in the window.
-func (wm *WindowMiner) N() int { return wm.n }
-
-// ItemCounts returns the aggregated pass-1 item counts.
-func (wm *WindowMiner) ItemCounts() []int { return wm.items }
-
-// buildCombined concatenates the batches' per-item bitmaps into window
-// bitmaps: batch b's bit t lands at offset(b) + t. Word-shift copies from
-// the memoized per-batch indexes — no transaction is revisited.
-func (wm *WindowMiner) buildCombined(roots []vnode) {
-	wm.words = bitset.Words(wm.n)
+// buildCombined concatenates the n rows of parts' per-item bitmaps into
+// window bitmaps: batch b's bit t lands at offset(b) + t. Word-shift copies
+// from the memoized per-batch indexes — no transaction is revisited.
+func (wm *WindowMiner) buildCombined(parts []*txn.Dataset, n int, roots []vnode) {
+	wm.words = bitset.Words(n)
 	need := len(roots) * wm.words
 	if cap(wm.store) < need {
 		wm.store = make(bitset.Set, need)
@@ -142,7 +117,7 @@ func (wm *WindowMiner) buildCombined(roots []vnode) {
 		wm.combined = append(wm.combined, wm.store[r*wm.words:(r+1)*wm.words])
 	}
 	off := 0
-	for _, d := range wm.parts {
+	for _, d := range parts {
 		ix := VerticalIndexOf(d, 1)
 		for r := range roots {
 			if s := ix.items[roots[r].item]; s != nil {
@@ -156,29 +131,35 @@ func (wm *WindowMiner) buildCombined(roots []vnode) {
 	}
 }
 
-// Mine mines the window's frequent itemsets — bit-identical to mining the
-// concatenated window dataset with any backend. The DFS is serial:
-// streaming windows are modest, and window advance, not mining
-// parallelism, is the budget here.
-func (wm *WindowMiner) Mine(minSupport float64) (*FrequentSet, error) {
+// Mine mines the window of parts — the batches pushed and not popped,
+// oldest first, whose summed pass-1 item counts are itemCounts —
+// bit-identical to mining their concatenation with any backend, and to
+// MineConcat over the same arguments. The DFS is serial: streaming
+// windows are modest, and window advance, not mining parallelism, is the
+// budget here.
+func (wm *WindowMiner) Mine(parts []*txn.Dataset, itemCounts []int, minSupport float64) (*FrequentSet, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, minSupportError(minSupport)
 	}
-	out := &FrequentSet{MinSupport: minSupport, N: wm.n}
-	if wm.n == 0 {
+	n := 0
+	for _, d := range parts {
+		n += d.Len()
+	}
+	out := &FrequentSet{MinSupport: minSupport, N: n}
+	if n == 0 {
 		return out, nil
 	}
-	minCount := minCountFor(minSupport, wm.n)
+	minCount := minCountFor(minSupport, n)
 	// The miner's scratch pool is length-locked; recreate it when the
 	// window's row count crosses a word boundary (steady-state slides keep
 	// the length, so this is a startup cost only).
-	if wm.miner == nil || wm.words != bitset.Words(wm.n) {
-		wm.miner = newVminer(wm.n)
+	if wm.miner == nil || wm.words != bitset.Words(n) {
+		wm.miner = newVminer(n)
 	}
 	m := wm.miner
 	m.reset(minCount, &wm.pairs)
 	roots := wm.roots[:0]
-	for it, c := range wm.items {
+	for it, c := range itemCounts {
 		if c >= minCount {
 			roots = append(roots, vnode{item: txn.Item(it), count: c})
 		}
@@ -187,7 +168,7 @@ func (wm *WindowMiner) Mine(minSupport float64) (*FrequentSet, error) {
 	if len(roots) == 0 {
 		return out, nil
 	}
-	wm.buildCombined(roots)
+	wm.buildCombined(parts, n, roots)
 	m.mineRoots(roots, 0, len(roots))
 	out.Itemsets, out.Counts = m.its, m.counts
 	m.its, m.counts = nil, nil

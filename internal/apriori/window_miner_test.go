@@ -21,6 +21,12 @@ func TestWindowMinerMatchesBatchConcat(t *testing.T) {
 	}
 	wm := NewWindowMiner(universe)
 	var live []*txn.Dataset
+	items := make([]int, universe)
+	addItems := func(d *txn.Dataset, sign int) {
+		for i, c := range ItemCountsP(d, 1) {
+			items[i] += sign * c
+		}
+	}
 	check := func(step int, ms float64) {
 		concat := txn.New(universe)
 		for _, d := range live {
@@ -32,20 +38,22 @@ func TestWindowMinerMatchesBatchConcat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := wm.Mine(ms)
+		got, err := wm.Mine(live, items, ms)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameMine(t, "window", want, got)
-		if _, err := wm.Mine(0); err == nil {
+		if _, err := wm.Mine(live, items, 0); err == nil {
 			t.Fatalf("step %d: minSupport 0 accepted", step)
 		}
 	}
 	for i, d := range batches {
 		wm.Push(d, 1)
+		addItems(d, 1)
 		live = append(live, d)
 		if len(live) > 4 {
-			wm.Pop()
+			wm.Pop(live[0])
+			addItems(live[0], -1)
 			live = live[1:]
 		}
 		for _, ms := range []float64{0.02, 0.15, 0.6} {
@@ -54,10 +62,11 @@ func TestWindowMinerMatchesBatchConcat(t *testing.T) {
 	}
 	// Drain to empty: an empty window mines to an empty frequent set.
 	for len(live) > 0 {
-		wm.Pop()
+		wm.Pop(live[0])
+		addItems(live[0], -1)
 		live = live[1:]
 	}
-	fs, err := wm.Mine(0.1)
+	fs, err := wm.Mine(live, items, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,7 @@ func FuzzWindowMine(f *testing.F) {
 			return out
 		}
 		wm := NewWindowMiner(universe)
-		wideItems := make([]int, wide)
+		narrowItems, wideItems := make([]int, universe), make([]int, wide)
 		var live, liveWide []*txn.Dataset
 		check := func(label string, parts []*txn.Dataset, numItems int, got *FrequentSet) {
 			concat := &txn.Dataset{NumItems: numItems}
@@ -117,9 +126,9 @@ func FuzzWindowMine(f *testing.F) {
 			}
 			assertSameMine(t, label, want, got)
 		}
-		addItems := func(b *txn.Dataset, sign int) {
+		addItems := func(items []int, b *txn.Dataset, sign int) {
 			for i, c := range ItemCountsP(b, 1) {
-				wideItems[i] += sign * c
+				items[i] += sign * c
 			}
 		}
 		for lo := 0; lo < d.Len(); lo += batchLen {
@@ -129,14 +138,16 @@ func FuzzWindowMine(f *testing.F) {
 				wideB.Txns = append(wideB.Txns, spread(tr))
 			}
 			wm.Push(narrowB, 1)
-			addItems(wideB, 1)
+			addItems(narrowItems, narrowB, 1)
+			addItems(wideItems, wideB, 1)
 			live, liveWide = append(live, narrowB), append(liveWide, wideB)
 			if len(live) > window {
-				wm.Pop()
-				addItems(liveWide[0], -1)
+				wm.Pop(live[0])
+				addItems(narrowItems, live[0], -1)
+				addItems(wideItems, liveWide[0], -1)
 				live, liveWide = live[1:], liveWide[1:]
 			}
-			got, err := wm.Mine(minSupport)
+			got, err := wm.Mine(live, narrowItems, minSupport)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,101 +71,39 @@ func (clusterClass) MeasureGCR(m1, m2 *ClusterModel, d1, d2 *dataset.Dataset, cf
 	return clusterRegionsFromCells(m1, m2, cells1, cells2)
 }
 
-func (c clusterClass) NewWindow(parallelism int) (Window[*dataset.Dataset, *ClusterModel], error) {
+func (c clusterClass) NewWindow(parallelism int) (*Window[*dataset.Dataset, *ClusterModel], error) {
 	if c.grid == nil {
 		return nil, errNilGrid
 	}
 	if c.minDensity < 0 || c.minDensity > 1 {
 		return nil, fmt.Errorf("core: minDensity %v outside [0,1]", c.minDensity)
 	}
-	return &clusterWindow{
-		grid:       c.grid,
-		minDensity: c.minDensity,
-		cells:      make([]int, c.grid.NumCells()),
-	}, nil
+	w := NewWindow(c, parallelism, c.summary, c.induceWindow)
+	w.sum = make([]int, c.grid.NumCells())
+	return w, nil
 }
 
-func (clusterClass) MeasureGCRWindows(m1, m2 *ClusterModel, w1, w2 Window[*dataset.Dataset, *ClusterModel]) ([]MeasuredRegion, error) {
-	cw1, ok1 := w1.(*clusterWindow)
-	cw2, ok2 := w2.(*clusterWindow)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("core: cluster MeasureGCRWindows over foreign windows %T/%T", w1, w2)
-	}
-	return clusterRegionsFromCells(m1, m2, cw1.cells, cw2.cells)
-}
-
-// clusterBatch is the sealed summary of one batch of tuples for
-// cluster-model monitoring: the raw tuples (retained for bootstrap
-// qualification) and the batch's grid-cell counts. Cell counts are
-// integers, so they add into and subtract out of the window aggregate
-// exactly, and the window's cluster-model is re-induced from the aggregate
-// alone — no retained batch is ever rescanned.
-type clusterBatch struct {
-	data  *dataset.Dataset
-	cells []int
-}
-
-// clusterWindow aggregates batch grid-cell counts incrementally.
-type clusterWindow struct {
-	grid       *cluster.Grid
-	minDensity float64
-	batchList  []*clusterBatch
-	cells      []int
-	n          int
-}
-
-func (w *clusterWindow) Add(d *dataset.Dataset, parallelism int) error {
+// summary seals a batch of tuples into its grid-cell counts.
+func (c clusterClass) summary(d *dataset.Dataset, parallelism int) ([]int, error) {
 	if err := d.Validate(); err != nil {
-		return fmt.Errorf("core: invalid batch: %w", err)
+		return nil, fmt.Errorf("core: invalid batch: %w", err)
 	}
-	if !d.Schema.Equal(w.grid.Schema) {
-		return fmt.Errorf("core: batch schema differs from the grid's schema")
+	if !d.Schema.Equal(c.grid.Schema) {
+		return nil, fmt.Errorf("core: batch schema differs from the grid's schema")
 	}
-	b := &clusterBatch{data: d, cells: cluster.CellCounts(d, w.grid, parallelism)}
-	w.batchList = append(w.batchList, b)
-	for i, v := range b.cells {
-		w.cells[i] += v
-	}
-	w.n += d.Len()
-	return nil
+	return cluster.CellCounts(d, c.grid, parallelism), nil
 }
 
-func (w *clusterWindow) RemoveFront() {
-	b := w.batchList[0]
-	w.batchList[0] = nil
-	w.batchList = w.batchList[1:]
-	for i, v := range b.cells {
-		w.cells[i] -= v
-	}
-	w.n -= b.data.Len()
-}
-
-func (w *clusterWindow) Batches() int { return len(w.batchList) }
-
-func (w *clusterWindow) N() int { return w.n }
-
-func (w *clusterWindow) Data() *dataset.Dataset {
-	out := dataset.New(w.grid.Schema)
-	for _, b := range w.batchList {
-		out.Tuples = append(out.Tuples, b.data.Tuples...)
-	}
-	return out
-}
-
-func (w *clusterWindow) Clone() Window[*dataset.Dataset, *ClusterModel] {
-	return &clusterWindow{
-		grid:       w.grid,
-		minDensity: w.minDensity,
-		batchList:  append([]*clusterBatch(nil), w.batchList...),
-		cells:      append([]int(nil), w.cells...),
-		n:          w.n,
-	}
-}
-
-func (w *clusterWindow) Induce() (*ClusterModel, error) {
-	m, err := cluster.ModelFromCellCounts(w.grid, w.cells, w.n, w.minDensity)
+// induceWindow re-induces the window's cluster-model from its summed cell
+// counts alone.
+func (c clusterClass) induceWindow(w *Window[*dataset.Dataset, *ClusterModel]) (*ClusterModel, error) {
+	m, err := cluster.ModelFromCellCounts(c.grid, w.sum, w.n, c.minDensity)
 	if err != nil {
 		return nil, err
 	}
 	return &ClusterModel{M: m}, nil
+}
+
+func (clusterClass) MeasureGCRWindows(m1, m2 *ClusterModel, w1, w2 *Window[*dataset.Dataset, *ClusterModel]) ([]MeasuredRegion, error) {
+	return clusterRegionsFromCells(m1, m2, w1.sum, w2.sum)
 }

@@ -123,11 +123,11 @@ func drawRows(rows []int32, poolN, n int, rng *rand.Rand) []int32 {
 // per window advance is not a mergeable-count computation. The monitoring
 // regime of Section 5.2 instead pins the reference tree's structure on the
 // stream, which is the PinnedDT class.
-func (dtClass) NewWindow(parallelism int) (Window[*dataset.Dataset, *DTModel], error) {
+func (dtClass) NewWindow(parallelism int) (*Window[*dataset.Dataset, *DTModel], error) {
 	return nil, errors.New("core: dt-model streaming requires a pinned structure; use PinnedDT")
 }
 
-func (dtClass) MeasureGCRWindows(m1, m2 *DTModel, w1, w2 Window[*dataset.Dataset, *DTModel]) ([]MeasuredRegion, error) {
+func (dtClass) MeasureGCRWindows(m1, m2 *DTModel, w1, w2 *Window[*dataset.Dataset, *DTModel]) ([]MeasuredRegion, error) {
 	return nil, errors.New("core: dt-model streaming requires a pinned structure; use PinnedDT")
 }
 
@@ -224,23 +224,31 @@ func (c pinnedDTClass) MeasureGCR(m1, m2 *DTMeasures, d1, d2 *dataset.Dataset, c
 	return dtCellRegions(c.tree, cells1, cells2)
 }
 
-func (c pinnedDTClass) NewWindow(parallelism int) (Window[*dataset.Dataset, *DTMeasures], error) {
+func (c pinnedDTClass) NewWindow(parallelism int) (*Window[*dataset.Dataset, *DTMeasures], error) {
 	if c.tree == nil {
 		return nil, errNilTree
 	}
-	return &dtWindow{
-		tree:  c.tree,
-		cells: make([]int, c.tree.NumLeaves()*c.tree.NumClasses()),
-	}, nil
+	w := NewWindow(c, parallelism, c.summary, c.induceWindow)
+	w.sum = make([]int, c.tree.NumLeaves()*c.tree.NumClasses())
+	return w, nil
 }
 
-func (c pinnedDTClass) MeasureGCRWindows(m1, m2 *DTMeasures, w1, w2 Window[*dataset.Dataset, *DTMeasures]) ([]MeasuredRegion, error) {
-	dw1, ok1 := w1.(*dtWindow)
-	dw2, ok2 := w2.(*dtWindow)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("core: dt MeasureGCRWindows over foreign windows %T/%T", w1, w2)
+// summary seals a batch of tuples into its cell counts over the pinned
+// tree's leaf-by-class cells.
+func (c pinnedDTClass) summary(d *dataset.Dataset, parallelism int) ([]int, error) {
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid batch: %w", err)
 	}
-	return dtCellRegions(c.tree, dw1.cells, dw2.cells)
+	return DTCellCounts(c.tree, d, parallelism)
+}
+
+// induceWindow returns the window's summed cell counts as its measures.
+func (c pinnedDTClass) induceWindow(w *Window[*dataset.Dataset, *DTMeasures]) (*DTMeasures, error) {
+	return &DTMeasures{Tree: c.tree, Cells: slices.Clone(w.sum), N: w.n}, nil
+}
+
+func (c pinnedDTClass) MeasureGCRWindows(m1, m2 *DTMeasures, w1, w2 *Window[*dataset.Dataset, *DTMeasures]) ([]MeasuredRegion, error) {
+	return dtCellRegions(c.tree, w1.sum, w2.sum)
 }
 
 // dtCellRegions builds the measured GCR regions of a pinned tree from two
@@ -257,78 +265,4 @@ func dtCellRegions(t *dtree.Tree, cells1, cells2 []int) ([]MeasuredRegion, error
 		regions[i] = MeasuredRegion{Alpha1: float64(cells1[i]), Alpha2: float64(cells2[i])}
 	}
 	return regions, nil
-}
-
-// dtBatch is the sealed summary of one batch of tuples for pinned-tree
-// monitoring: the raw tuples (retained for bootstrap qualification) and
-// the batch's cell counts over the pinned tree's leaf-by-class cells. Cell
-// counts are integers, so they add into and subtract out of the window
-// aggregate exactly.
-type dtBatch struct {
-	data  *dataset.Dataset
-	cells []int
-}
-
-// dtWindow aggregates batch cell counts incrementally.
-type dtWindow struct {
-	tree      *dtree.Tree
-	batchList []*dtBatch
-	cells     []int
-	n         int
-}
-
-func (w *dtWindow) Add(d *dataset.Dataset, parallelism int) error {
-	if err := d.Validate(); err != nil {
-		return fmt.Errorf("core: invalid batch: %w", err)
-	}
-	cells, err := DTCellCounts(w.tree, d, parallelism)
-	if err != nil {
-		return err
-	}
-	b := &dtBatch{data: d, cells: cells}
-	w.batchList = append(w.batchList, b)
-	for i, v := range b.cells {
-		w.cells[i] += v
-	}
-	w.n += d.Len()
-	return nil
-}
-
-func (w *dtWindow) RemoveFront() {
-	b := w.batchList[0]
-	w.batchList[0] = nil
-	w.batchList = w.batchList[1:]
-	for i, v := range b.cells {
-		w.cells[i] -= v
-	}
-	w.n -= b.data.Len()
-}
-
-func (w *dtWindow) Batches() int { return len(w.batchList) }
-
-func (w *dtWindow) N() int { return w.n }
-
-func (w *dtWindow) Data() *dataset.Dataset {
-	out := dataset.New(w.tree.Schema)
-	for _, b := range w.batchList {
-		out.Tuples = append(out.Tuples, b.data.Tuples...)
-	}
-	return out
-}
-
-func (w *dtWindow) Clone() Window[*dataset.Dataset, *DTMeasures] {
-	return &dtWindow{
-		tree:      w.tree,
-		batchList: append([]*dtBatch(nil), w.batchList...),
-		cells:     append([]int(nil), w.cells...),
-		n:         w.n,
-	}
-}
-
-func (w *dtWindow) Induce() (*DTMeasures, error) {
-	return &DTMeasures{
-		Tree:  w.tree,
-		Cells: append([]int(nil), w.cells...),
-		N:     w.n,
-	}, nil
 }

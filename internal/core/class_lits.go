@@ -19,8 +19,9 @@ type litsClass struct {
 // the given minimum support. Mining, GCR measurement and the streaming
 // windows' batch counts run the vertical engine wherever it fits in memory
 // and the trie/levelwise path only where it does not; bootstrap
-// replicates mine exploded view pairs and windows mine through their
-// WindowMiner (or, over a wide universe, the view's fill kernel). The GCR
+// replicates mine exploded view pairs, and a live window mines through its
+// WindowMiner (a snapshot, or a window over a wide universe, through the
+// view's fill kernel). The GCR
 // takes each frequent itemset's support from the model that mined it and
 // counts only the rest. Models, deviations and reports are bit-identical
 // on every path.
@@ -124,161 +125,89 @@ func minedCounts(fs *apriori.FrequentSet, sets []apriori.Itemset, at []int, coun
 	return counts
 }
 
-func (c litsClass) NewWindow(parallelism int) (Window[*txn.Dataset, *LitsModel], error) {
+func (c litsClass) NewWindow(parallelism int) (*Window[*txn.Dataset, *LitsModel], error) {
 	if c.minSupport <= 0 || c.minSupport > 1 {
 		return nil, fmt.Errorf("core: minimum support %v outside (0,1]", c.minSupport)
 	}
-	return &litsWindow{minSupport: c.minSupport, parallelism: parallelism}, nil
+	w := NewWindow(c, parallelism, litsSummary, c.induceWindow)
+	w.tracker = new(litsMiner)
+	return w, nil
 }
 
-// MeasureGCRWindows takes the support of each GCR itemset frequent in a
-// window from that window's model and counts only the itemsets frequent
-// in the other window alone, batch by batch.
-func (litsClass) MeasureGCRWindows(m1, m2 *LitsModel, w1, w2 Window[*txn.Dataset, *LitsModel]) ([]MeasuredRegion, error) {
-	lw1, ok1 := w1.(*litsWindow)
-	lw2, ok2 := w2.(*litsWindow)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("core: lits MeasureGCRWindows over foreign windows %T/%T", w1, w2)
-	}
-	if lw1.numItems != lw2.numItems {
-		return nil, fmt.Errorf("core: datasets have different item universes (%d vs %d)", lw1.numItems, lw2.numItems)
-	}
-	if m1.FS.N != lw1.n || m2.FS.N != lw2.n {
-		return nil, fmt.Errorf("core: lits models of %d and %d transactions measured over windows of %d and %d", m1.FS.N, m2.FS.N, lw1.n, lw2.n)
-	}
-	gcr := newLitsGCR(m1.FS, m2.FS)
-	c1 := minedCounts(m1.FS, gcr.sets, gcr.at1, lw1.count)
-	c2 := minedCounts(m2.FS, gcr.sets, gcr.at2, lw2.count)
-	return countRegions(c1, c2), nil
-}
-
-// litsBatch is the sealed summary of one batch of transactions: its rows,
-// retained to be mined and counted through the window, and its mergeable
-// pass-1 item-count vector.
-type litsBatch struct {
-	data  *txn.Dataset
-	items []int
-}
-
-// litsWindow is a set of sealed batches and their summed pass-1 counts.
-// It mines through its apriori.WindowMiner, which adds each batch's item
-// and pair counts on Add and subtracts them on RemoveFront, or, over a
-// universe whose full-universe pair table apriori.UseWindowMiner refuses,
-// through apriori.MineConcat over its batches. It keeps no per-itemset
-// state: MeasureGCRWindows takes the supports of the window's frequent
-// itemsets from its model and counts the rest in each batch. Counts are
-// integers, so everything induced from them is identical to a full
-// rescan of the window. The item universe is fixed by the first batch.
-type litsWindow struct {
-	minSupport  float64
-	numItems    int
-	parallelism int
-	batchList   []*litsBatch
-	items       []int
-	n           int
-	wmine       *apriori.WindowMiner
-}
-
-func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
+// litsSummary seals a batch of transactions into its pass-1 item-count
+// vector; the window's item universe is that vector's length, fixed by its
+// first batch.
+func litsSummary(d *txn.Dataset, parallelism int) ([]int, error) {
 	if err := d.Validate(); err != nil {
-		return fmt.Errorf("core: invalid batch: %w", err)
+		return nil, fmt.Errorf("core: invalid batch: %w", err)
 	}
-	if len(w.items) == 0 && len(w.batchList) == 0 {
-		w.numItems = d.NumItems
-		w.items = make([]int, d.NumItems)
-	} else if d.NumItems != w.numItems {
-		return fmt.Errorf("core: batch universe %d != window universe %d", d.NumItems, w.numItems)
-	}
-	b := &litsBatch{data: d, items: apriori.ItemCountsP(d, parallelism)}
-	w.batchList = append(w.batchList, b)
-	for i, v := range b.items {
-		w.items[i] += v
-	}
-	w.n += d.Len()
-	if w.wmine != nil {
-		w.wmine.Push(d, parallelism)
-	}
-	return nil
+	return apriori.ItemCountsP(d, parallelism), nil
 }
 
-func (w *litsWindow) RemoveFront() {
-	b := w.batchList[0]
-	w.batchList[0] = nil
-	w.batchList = w.batchList[1:]
-	for i, v := range b.items {
-		w.items[i] -= v
+// induceWindow mines a window from its batches and summed pass-1 counts:
+// through the live window's apriori.WindowMiner, which holds the
+// batches' pair counts, or, for a snapshot or over a universe whose pair
+// table apriori.UseWindowMiner refuses, through apriori.MineConcat. Both
+// paths produce bit-identical models.
+func (c litsClass) induceWindow(w *Window[*txn.Dataset, *LitsModel]) (*LitsModel, error) {
+	mine := apriori.MineConcat
+	if m, _ := w.tracker.(*litsMiner); m != nil && m.wm != nil {
+		mine = m.wm.Mine
 	}
-	w.n -= b.data.Len()
-	if w.wmine != nil {
-		w.wmine.Pop()
-	}
-}
-
-func (w *litsWindow) Batches() int { return len(w.batchList) }
-
-func (w *litsWindow) N() int { return w.n }
-
-// Data assembles the window's raw transactions into one dataset (sharing
-// transaction storage), for bootstrap qualification.
-func (w *litsWindow) Data() *txn.Dataset {
-	out := &txn.Dataset{NumItems: w.numItems}
-	for _, b := range w.batchList {
-		out.Txns = append(out.Txns, b.data.Txns...)
-	}
-	return out
-}
-
-// Clone returns a snapshot sharing the (immutable) batch summaries.
-func (w *litsWindow) Clone() Window[*txn.Dataset, *LitsModel] {
-	return &litsWindow{
-		minSupport:  w.minSupport,
-		numItems:    w.numItems,
-		parallelism: w.parallelism,
-		batchList:   append([]*litsBatch(nil), w.batchList...),
-		items:       append([]int(nil), w.items...),
-		n:           w.n,
-	}
-}
-
-// Induce mines the window. Windows that actually mine — the live window,
-// every emission — build an incremental apriori.WindowMiner on first use
-// and keep it in sync through Add/RemoveFront; clones start without one
-// (a snapshot reference is mined once, then only counted against). A
-// universe whose pair table would be outsized mines the batches through
-// apriori.MineConcat instead. Both paths produce bit-identical models.
-func (w *litsWindow) Induce() (*LitsModel, error) {
-	var fs *apriori.FrequentSet
-	var err error
-	if apriori.UseWindowMiner(w.numItems) {
-		if w.wmine == nil {
-			w.wmine = apriori.NewWindowMiner(w.numItems)
-			for _, b := range w.batchList {
-				w.wmine.Push(b.data, w.parallelism)
-			}
-		}
-		fs, err = w.wmine.Mine(w.minSupport)
-	} else {
-		parts := make([]*txn.Dataset, len(w.batchList))
-		for i, b := range w.batchList {
-			parts[i] = b.data
-		}
-		fs, err = apriori.MineConcat(parts, w.items, w.minSupport)
-	}
+	fs, err := mine(w.batches, w.sum, c.minSupport)
 	if err != nil {
 		return nil, err
 	}
 	return &LitsModel{FS: fs}, nil
 }
 
-// count returns the supports of sets over the window: the sum of their
-// supports in each live batch, each counted by the engine's one decision
-// (through the batch's memoized index wherever it runs vertically).
-func (w *litsWindow) count(sets []apriori.Itemset) []int {
-	total := make([]int, len(sets))
-	for _, b := range w.batchList {
-		for i, c := range apriori.CountItemsetsP(b.data, sets, w.parallelism) {
-			total[i] += c
+// litsMiner is a live lits window's class-owned state: the
+// apriori.WindowMiner its batches enter and leave, built by the first
+// batch over a universe apriori.UseWindowMiner takes. It keeps only the
+// pair counts; the window holds the batches and their pass-1 counts.
+type litsMiner struct {
+	wm *apriori.WindowMiner
+}
+
+func (m *litsMiner) push(d *txn.Dataset, parallelism int) {
+	if m.wm == nil && apriori.UseWindowMiner(d.NumItems) {
+		m.wm = apriori.NewWindowMiner(d.NumItems)
+	}
+	if m.wm != nil {
+		m.wm.Push(d, parallelism)
+	}
+}
+
+func (m *litsMiner) pop(d *txn.Dataset) {
+	if m.wm != nil {
+		m.wm.Pop(d)
+	}
+}
+
+// MeasureGCRWindows takes the support of each GCR itemset frequent in a
+// window from that window's model and counts only the itemsets frequent
+// in the other window alone, batch by batch (through each batch's
+// memoized index wherever it runs vertically).
+func (litsClass) MeasureGCRWindows(m1, m2 *LitsModel, w1, w2 *Window[*txn.Dataset, *LitsModel]) ([]MeasuredRegion, error) {
+	if len(w1.sum) != len(w2.sum) {
+		return nil, fmt.Errorf("core: datasets have different item universes (%d vs %d)", len(w1.sum), len(w2.sum))
+	}
+	if m1.FS.N != w1.n || m2.FS.N != w2.n {
+		return nil, fmt.Errorf("core: lits models of %d and %d transactions measured over windows of %d and %d", m1.FS.N, m2.FS.N, w1.n, w2.n)
+	}
+	count := func(w *Window[*txn.Dataset, *LitsModel]) func([]apriori.Itemset) []int {
+		return func(sets []apriori.Itemset) []int {
+			total := make([]int, len(sets))
+			for _, d := range w.batches {
+				for i, c := range apriori.CountItemsetsP(d, sets, w.parallelism) {
+					total[i] += c
+				}
+			}
+			return total
 		}
 	}
-	return total
+	gcr := newLitsGCR(m1.FS, m2.FS)
+	c1 := minedCounts(m1.FS, gcr.sets, gcr.at1, count(w1))
+	c2 := minedCounts(m2.FS, gcr.sets, gcr.at2, count(w2))
+	return countRegions(c1, c2), nil
 }

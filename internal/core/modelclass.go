@@ -16,7 +16,8 @@ import (
 // models of one class are compared over the greatest common refinement of
 // their structural components). Everything the public pipelines do —
 // Deviation, Qualify, RankRegions, and the incremental windowed monitor in
-// internal/stream — is written once against this interface; the lits-, dt-
+// internal/stream — is written once against this interface and the one
+// streaming Window (window.go); the lits-, dt-
 // and cluster-model classes are instantiations (class_lits.go,
 // class_dt.go, class_cluster.go), and a new model class plugs into every
 // pipeline by implementing ModelClass alone.
@@ -50,20 +51,21 @@ type ModelClass[D, M any] interface {
 	// order, so the f/g reduction over them is reproducible bit-for-bit.
 	MeasureGCR(m1, m2 M, d1, d2 D, cfg *Config) ([]MeasuredRegion, error)
 
-	// NewWindow returns an empty streaming window that seals ingested
-	// batches into mergeable count summaries (Section 5.2 run
-	// incrementally): batch summaries add into and subtract out of the
-	// window aggregate exactly, so window advance never rescans retained
-	// batches. Classes without an incremental form return an error.
-	NewWindow(parallelism int) (Window[D, M], error)
+	// NewWindow returns an empty streaming window (Section 5.2 run
+	// incrementally): the class builds it with the package's NewWindow
+	// from a batch summary — the batch's count vector over the class's
+	// cells — and an induce from the window's summed counts, so a window
+	// advance never rescans retained batches. Classes without an
+	// incremental form return an error.
+	NewWindow(parallelism int) (*Window[D, M], error)
 
-	// MeasureGCRWindows is MeasureGCR computed from two windows' mergeable
-	// summaries instead of raw dataset scans. m1 and m2 are the models
+	// MeasureGCRWindows is MeasureGCR computed from two windows' summed
+	// counts instead of raw dataset scans. m1 and m2 are the models
 	// w1.Induce() and w2.Induce() returned for the windows as they are, so
 	// a class may take measures from them instead of re-counting. The
 	// regions must be bit-identical to MeasureGCR over the windows'
 	// concatenated data.
-	MeasureGCRWindows(m1, m2 M, w1, w2 Window[D, M]) ([]MeasuredRegion, error)
+	MeasureGCRWindows(m1, m2 M, w1, w2 *Window[D, M]) ([]MeasuredRegion, error)
 }
 
 // replicateFunc computes one bootstrap replicate's deviation: draw a
@@ -87,29 +89,6 @@ type replicateFunc func(rng *rand.Rand, n1, n2, blockN int, extension bool, f Di
 // reduction.
 type bootstrapper[D any] interface {
 	newReplicate(pool D, cfg *Config) (func() replicateFunc, bool)
-}
-
-// Window is the streaming half of a ModelClass: an incrementally maintained
-// aggregate of sealed batch summaries. Windows are not safe for concurrent
-// use.
-type Window[D, M any] interface {
-	// Add seals one batch into a summary and merges it into the aggregate.
-	Add(d D, parallelism int) error
-	// RemoveFront subtracts the oldest batch's summary from the aggregate.
-	RemoveFront()
-	// Batches returns the number of live batches.
-	Batches() int
-	// N returns the number of rows in the window.
-	N() int
-	// Data returns the window's raw rows as one dataset (for bootstrap
-	// qualification).
-	Data() D
-	// Clone snapshots the window; the clone shares the (immutable) sealed
-	// batch summaries.
-	Clone() Window[D, M]
-	// Induce induces the window's model from the aggregate alone —
-	// bit-identical to inducing from Data().
-	Induce() (M, error)
 }
 
 // Config is the one options struct of the unified pipeline, assembled from

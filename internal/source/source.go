@@ -139,7 +139,7 @@ func (c *chunked[D]) Next(ctx context.Context) (D, error) {
 			c.off = 0
 		}
 	}
-	out, err := merge(parts)
+	out, err := Merge(parts, func(a, b D) (D, error) { return a.Concat(b) })
 	// Keep the scratch but drop its batch references so emitted chunks are
 	// the only thing keeping decoded rows alive.
 	for i := range parts {
@@ -155,9 +155,10 @@ func (c *chunked[D]) Next(ctx context.Context) (D, error) {
 	return out, nil
 }
 
-// merge concatenates parts by balanced pairwise Concat, copying each row
-// O(log len(parts)) times; a single part is returned as-is (zero-copy).
-func merge[D Sliceable[D]](parts []D) (D, error) {
+// Merge joins parts, in order, by balanced pairwise concat, copying each
+// row O(log len(parts)) times; a single part is returned as-is
+// (zero-copy). parts must not be empty, and Merge uses it as scratch.
+func Merge[D any](parts []D, concat func(a, b D) (D, error)) (D, error) {
 	for len(parts) > 1 {
 		next := parts[:0]
 		for i := 0; i < len(parts); i += 2 {
@@ -165,7 +166,7 @@ func merge[D Sliceable[D]](parts []D) (D, error) {
 				next = append(next, parts[i])
 				break
 			}
-			m, err := parts[i].Concat(parts[i+1])
+			m, err := concat(parts[i], parts[i+1])
 			if err != nil {
 				var zero D
 				return zero, err

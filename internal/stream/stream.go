@@ -5,11 +5,11 @@
 // batches instead of as one-off batch diffs.
 //
 // The monitor is written once, generically, against the core.ModelClass
-// abstraction: batches are sealed into mergeable count summaries by the
-// class's Window (per-batch item counts, mined through an incremental
-// item- and pair-count miner, for lits-models; per-cell class counts over
-// a pinned tree for dt-models; grid-cell counts for cluster-models), a
-// window advance subtracts the expired batch's
+// abstraction: a core.Window holds the live batches and seals each into
+// the class's mergeable count summary (per-batch item counts, mined
+// through an incremental pair-count miner, for lits-models; per-cell class
+// counts over a pinned tree for dt-models; grid-cell counts for
+// cluster-models), a window advance subtracts the expired batch's
 // summary and adds the new one instead of rescanning retained batches, and
 // every advance emits the deviation of the current window against a pinned
 // reference model (or against the previous window), optionally
@@ -91,8 +91,8 @@ type Monitor[D, M any] struct {
 	opts Options
 	mc   core.ModelClass[D, M]
 
-	live core.Window[D, M] // guarded by mu
-	ref  core.Window[D, M] // guarded by mu
+	live *core.Window[D, M] // guarded by mu
+	ref  *core.Window[D, M] // guarded by mu
 
 	refModel    M    // guarded by mu
 	hasRefModel bool // guarded by mu
@@ -100,11 +100,10 @@ type Monitor[D, M any] struct {
 	liveModel   M    // guarded by mu
 	liveModelOK bool // guarded by mu
 
-	epochs  []int64 // one entry per live batch, oldest first; guarded by mu
-	batches []D     // the live batches themselves, oldest first (for ExportState); guarded by mu
-	epoch   int64   // guarded by mu
-	seq     int     // guarded by mu
-	last    *Report // guarded by mu
+	epochs []int64 // one entry per live batch, oldest first; guarded by mu
+	epoch  int64   // guarded by mu
+	seq    int     // guarded by mu
+	last   *Report // guarded by mu
 }
 
 // New creates a monitor for the given model class. ref is the pinned
@@ -189,7 +188,6 @@ func (m *Monitor[D, M]) ingest(epoch int64, batch D) (*Report, error) {
 	m.epoch = epoch
 	m.liveModelOK = false
 	m.epochs = append(m.epochs, epoch)
-	m.batches = append(m.batches, batch)
 
 	// Advance the window: subtract expired batches, keep the new one.
 	if m.opts.EpochWindow > 0 {
@@ -264,11 +262,6 @@ func (m *Monitor[D, M]) ingest(epoch int64, batch D) (*Report, error) {
 func (m *Monitor[D, M]) expire() {
 	m.live.RemoveFront()
 	m.epochs = m.epochs[1:]
-	// Clear the expired slot so the batch (and anything memoized on it)
-	// is not kept reachable by the slice's backing array.
-	var zero D
-	m.batches[0] = zero
-	m.batches = m.batches[1:]
 	m.liveModelOK = false
 }
 
@@ -416,7 +409,7 @@ func (m *Monitor[D, M]) ExportState() MonitorState[D] {
 		Epoch:   m.epoch,
 		Seq:     m.seq,
 		Epochs:  append([]int64(nil), m.epochs...),
-		Batches: append([]D(nil), m.batches...),
+		Batches: m.live.Parts(),
 	}
 	if m.refPromoted {
 		st.RefPromoted = true
@@ -482,7 +475,6 @@ func (m *Monitor[D, M]) RestoreState(st MonitorState[D]) error {
 			return fmt.Errorf("stream: restoring window batch %d: %w", i, err)
 		}
 	}
-	m.batches = append(m.batches, st.Batches...)
 	m.epochs = append(m.epochs, st.Epochs...)
 	m.epoch, m.seq = st.Epoch, st.Seq
 	return nil

@@ -399,6 +399,46 @@ func TestLitsWideUniverseHeap(t *testing.T) {
 	t.Logf("peak live heap growth %d MiB", peak>>20)
 }
 
+// TestPinnedLitsReferenceHeap pins that a pinned lits reference keeps no
+// incremental miner: the reference window is mined once and never
+// advances, so a monitor over 5,000 items must not hold the miner's
+// full-universe pair table (5,000²/2 × 4 bytes, about 48 MiB) after New.
+// The reference holds its rows, one pass-1 count vector and its memoized
+// index: well under a megabyte here.
+func TestPinnedLitsReferenceHeap(t *testing.T) {
+	const numItems = 5000
+	if !apriori.UseWindowMiner(numItems) {
+		t.Fatal("the universe no longer takes the window miner")
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	rng := rand.New(rand.NewSource(29))
+	ref := &txn.Dataset{NumItems: numItems, Txns: make([]txn.Transaction, 512)}
+	for i := range ref.Txns {
+		tr := make(txn.Transaction, 2+rng.Intn(8))
+		for j := range tr {
+			tr[j] = txn.Item(rng.Intn(numItems))
+		}
+		ref.Txns[i] = tr.Normalize()
+	}
+	base := liveHeap()
+	mon, err := New(core.Lits(0.01), ref, Options{WindowBatches: 4, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := int64(liveHeap()) - int64(base)
+	runtime.KeepAlive(mon)
+	const bound = 8 << 20
+	if grown > bound {
+		t.Errorf("live heap grew by %d MiB in New, want at most %d MiB", grown>>20, bound>>20)
+	}
+	t.Logf("live heap growth after New: %d KiB", grown>>10)
+}
+
 // TestExpiredBatchesReleased pins that a sliding monitor lets an expired
 // batch go: after every advance, nothing of the monitor keeps the expired
 // batch (or the vertical index memoized on it) reachable.

@@ -6,7 +6,8 @@ package focus_test
 // Qualify, RankRegions and NewMonitor without touching any core or stream
 // internals. The structural component is the set of non-empty bins, the
 // GCR of two models is the union of their non-empty bins, and the
-// mergeable streaming summary is the per-batch bin-count vector.
+// streaming window is built from two hooks: the per-batch bin-count
+// vector and an induce from the window's summed counts.
 
 import (
 	"fmt"
@@ -85,84 +86,37 @@ func (h histClass) MeasureGCR(m1, m2 *histModel, d1, d2 *focus.Dataset, cfg *foc
 	return out, nil
 }
 
-func (h histClass) NewWindow(parallelism int) (focus.ModelWindow[*focus.Dataset, *histModel], error) {
-	return &histWindow{class: h, counts: make([]int, h.bins)}, nil
+// NewWindow builds the class's streaming window from its two hooks: a
+// batch's summary is its bin-count vector, and the window's model is its
+// summed bin counts.
+func (h histClass) NewWindow(parallelism int) (*focus.ModelWindow[*focus.Dataset, *histModel], error) {
+	return focus.NewModelWindow(h, parallelism, h.summary, h.induceWindow), nil
 }
 
-func (h histClass) MeasureGCRWindows(m1, m2 *histModel, w1, w2 focus.ModelWindow[*focus.Dataset, *histModel]) ([]focus.MeasuredRegion, error) {
-	hw1, ok1 := w1.(*histWindow)
-	hw2, ok2 := w2.(*histWindow)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("histogram: foreign windows %T/%T", w1, w2)
+func (h histClass) summary(d *focus.Dataset, parallelism int) ([]int, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
 	}
+	if !d.Schema.Equal(h.schema) {
+		return nil, fmt.Errorf("histogram: foreign batch schema")
+	}
+	return h.countBins(d), nil
+}
+
+func (h histClass) induceWindow(w *focus.ModelWindow[*focus.Dataset, *histModel]) (*histModel, error) {
+	return &histModel{counts: append([]int(nil), w.Counts()...), n: w.N()}, nil
+}
+
+func (h histClass) MeasureGCRWindows(m1, m2 *histModel, w1, w2 *focus.ModelWindow[*focus.Dataset, *histModel]) ([]focus.MeasuredRegion, error) {
+	c1, c2 := w1.Counts(), w2.Counts()
 	var out []focus.MeasuredRegion
 	for b := 0; b < h.bins; b++ {
 		if m1.counts[b] == 0 && m2.counts[b] == 0 {
 			continue
 		}
-		out = append(out, focus.MeasuredRegion{Alpha1: float64(hw1.counts[b]), Alpha2: float64(hw2.counts[b])})
+		out = append(out, focus.MeasuredRegion{Alpha1: float64(c1[b]), Alpha2: float64(c2[b])})
 	}
 	return out, nil
-}
-
-// histWindow is the mergeable streaming summary: per-batch bin counts that
-// add into and subtract out of the aggregate exactly.
-type histWindow struct {
-	class   histClass
-	batches []*histBatch
-	counts  []int
-	n       int
-}
-
-type histBatch struct {
-	data   *focus.Dataset
-	counts []int
-}
-
-func (w *histWindow) Add(d *focus.Dataset, parallelism int) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	b := &histBatch{data: d, counts: w.class.countBins(d)}
-	w.batches = append(w.batches, b)
-	for i, v := range b.counts {
-		w.counts[i] += v
-	}
-	w.n += d.Len()
-	return nil
-}
-
-func (w *histWindow) RemoveFront() {
-	b := w.batches[0]
-	w.batches = w.batches[1:]
-	for i, v := range b.counts {
-		w.counts[i] -= v
-	}
-	w.n -= b.data.Len()
-}
-
-func (w *histWindow) Batches() int { return len(w.batches) }
-func (w *histWindow) N() int       { return w.n }
-
-func (w *histWindow) Data() *focus.Dataset {
-	out := focus.FromTuples(w.class.schema, nil)
-	for _, b := range w.batches {
-		out.Tuples = append(out.Tuples, b.data.Tuples...)
-	}
-	return out
-}
-
-func (w *histWindow) Clone() focus.ModelWindow[*focus.Dataset, *histModel] {
-	return &histWindow{
-		class:   w.class,
-		batches: append([]*histBatch(nil), w.batches...),
-		counts:  append([]int(nil), w.counts...),
-		n:       w.n,
-	}
-}
-
-func (w *histWindow) Induce() (*histModel, error) {
-	return &histModel{counts: append([]int(nil), w.counts...), n: w.n}, nil
 }
 
 // TestCustomModelClass drives the toy histogram class through all four
