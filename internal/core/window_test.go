@@ -138,14 +138,60 @@ func (c windowCase[D, M]) run(t *testing.T) {
 	check("clone after origin drain", snap, snapLive)
 }
 
-// TestWindowAggregates pins the one window's bookkeeping for every class
-// that streams: across Add, RemoveFront and Clone, on the clone and its
-// origin alike, the window's batches, row count and summed counts must be
-// those of its live batches, a clone must share nothing that one side's
-// advance disturbs, and the window's model must be the one its raw data
-// induces. Lits runs over a 20-item universe, where the live window mines
+// TestLitsWindowAggregates pins the one window's bookkeeping for lits
+// (see windowCase): over a 20-item universe, where the live window mines
 // through its WindowMiner, and a 6,000-item one, where it mines through
 // MineConcat.
+func TestLitsWindowAggregates(t *testing.T) {
+	lits := func(m *LitsModel) any { return []any{m.FS.MinSupport, m.FS.N, m.FS.Itemsets, m.FS.Counts} }
+	litsEmpty := func(m *LitsModel) bool { return m.Len() < 20 }
+	t.Run("lits-20", windowCase[*txn.Dataset, *LitsModel]{
+		mc: Lits(0.08), batches: windowTestBatches(95, 5, 30, 20, 20, 6), model: lits, empty: litsEmpty, miner: true,
+	}.run)
+	t.Run("lits-6000", windowCase[*txn.Dataset, *LitsModel]{
+		mc: Lits(0.08), batches: windowTestBatches(95, 5, 30, 6000, 20, 6), model: lits, empty: litsEmpty,
+	}.run)
+}
+
+// A clone shares sealed batch summaries with its origin: removing a batch
+// from one must not disturb the other, and the clone must mine what its
+// raw data mines.
+func TestLitsWindowCloneSharesSummaries(t *testing.T) {
+	const numItems = 15
+	w, err := Lits(0.1).NewWindow(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := windowTestBatches(96, 3, 25, numItems, numItems, 5)
+	for _, d := range batches[:2] {
+		if err := w.Add(d, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := w.Clone()
+	if err := w.Add(batches[2], 1); err != nil {
+		t.Fatal(err)
+	}
+	w.RemoveFront()
+	if snap.Batches() != 2 || snap.N() != batches[0].Len()+batches[1].Len() {
+		t.Errorf("clone tracks origin mutations: %d batches / %d rows", snap.Batches(), snap.N())
+	}
+	m1, err := snap.Induce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Inducing from the clone must equal inducing from its raw data.
+	m2, err := MineLits(snap.Data(), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1.Len() != m2.Len() {
+		t.Errorf("clone model has %d itemsets, raw rebuild %d", m1.Len(), m2.Len())
+	}
+}
+
+// TestWindowAggregates runs the same bookkeeping checks (see windowCase)
+// for the other classes that stream: pinned-tree dt and cluster.
 func TestWindowAggregates(t *testing.T) {
 	train, err := classgen.Generate(classgen.Config{NumTuples: 1200, Function: classgen.F2, Seed: 97})
 	if err != nil {
@@ -167,14 +213,6 @@ func TestWindowAggregates(t *testing.T) {
 		}
 		tuples = append(tuples, d)
 	}
-	lits := func(m *LitsModel) any { return []any{m.FS.MinSupport, m.FS.N, m.FS.Itemsets, m.FS.Counts} }
-	litsEmpty := func(m *LitsModel) bool { return m.Len() < 20 }
-	t.Run("lits-20", windowCase[*txn.Dataset, *LitsModel]{
-		mc: Lits(0.08), batches: windowTestBatches(95, 5, 30, 20, 20, 6), model: lits, empty: litsEmpty, miner: true,
-	}.run)
-	t.Run("lits-6000", windowCase[*txn.Dataset, *LitsModel]{
-		mc: Lits(0.08), batches: windowTestBatches(95, 5, 30, 6000, 20, 6), model: lits, empty: litsEmpty,
-	}.run)
 	t.Run("dt-pinned", windowCase[*dataset.Dataset, *DTMeasures]{
 		mc: PinnedDT(tree), batches: tuples,
 		model: func(m *DTMeasures) any { return []any{m.Tree, m.Cells, m.N} },
